@@ -15,7 +15,10 @@ Subcommands work on vanhom-complex/1 JSON documents:
 Exit codes: 0 on success, 1 for invalid input (bad document, bad velocity,
 missing rates), 2 when series truncation leaves an answer undetermined,
 3 for precondition violations (sets that are not face-closed, nested, or
-removable).  Output is deterministic byte for byte.
+removable), 4 when an internal consistency check fails (a sweep interval
+that is not constant, a chain subspace not closed under the boundary, a
+class coordinate that does not solve); the message names the check.
+Output is deterministic byte for byte.
 """
 
 from __future__ import annotations
@@ -296,6 +299,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

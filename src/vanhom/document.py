@@ -57,6 +57,8 @@ def _format_rate(rate: ExtRational) -> str:
 def _cells_from_data(data: dict) -> CellComplex:
     cells = []
     for item in data.get("cells", []):
+        if not isinstance(item, dict):
+            raise TypeError(f"cell entry {item!r} is not an object")
         boundary = tuple((int(k), int(f)) for k, f in item.get("boundary", []))
         cells.append(Cell(int(item["id"]), int(item["dim"]), boundary,
                           item.get("label")))
@@ -67,7 +69,10 @@ def _geometry_from_data(c: CellComplex, block: dict,
                         precision_cap) -> GeometricComplex:
     ambient = int(block["ambient_dim"])
     coords: Dict[int, Tuple[PuiseuxSeries, ...]] = {}
-    for key, texts in block.get("vertices", {}).items():
+    vertices = block.get("vertices", {})
+    if not isinstance(vertices, dict):
+        raise TypeError("vertices must map vertex ids to coordinates")
+    for key, texts in vertices.items():
         point = []
         for text in texts:
             s = parse_series(text)
@@ -85,6 +90,8 @@ def document_problems(data: dict, precision_cap=None) -> List[str]:
     Covers the format tag, cell structure, the complex laws, rate syntax,
     geometry coverage and the face-closure of declared subcomplexes.
     """
+    if not isinstance(data, dict):
+        return ["a document must be a JSON object"]
     problems = []
     if data.get("format") != FORMAT_TAG:
         problems.append(f"format tag must be {FORMAT_TAG!r}")
@@ -136,8 +143,16 @@ def document_problems(data: dict, precision_cap=None) -> List[str]:
         elif not all(vid in geometry.vertices for vid in support):
             problems.append(f"cell {cell.id} has vertices without coordinates")
 
-    for name, ids in data.get("subcomplexes", {}).items():
-        ids = [int(i) for i in ids]
+    subcomplexes = data.get("subcomplexes", {})
+    if not isinstance(subcomplexes, dict):
+        problems.append("subcomplexes must map names to cell id lists")
+        subcomplexes = {}
+    for name, ids in subcomplexes.items():
+        try:
+            ids = [int(i) for i in ids]
+        except (TypeError, ValueError):
+            problems.append(f"subcomplex {name!r} must list cell ids")
+            continue
         unknown = [i for i in ids if i not in c]
         if unknown:
             problems.append(f"subcomplex {name!r}: unknown cells {unknown}")

@@ -2,8 +2,9 @@
 
 from fractions import Fraction
 
-from vanhom import (CellComplex, CellSet, GeometricComplex, SimplicialBuilder,
-                    Subspace, chain_boundary, constant, t_power)
+from vanhom import (Cell, CellComplex, CellSet, GeometricComplex,
+                    SimplicialBuilder, Subspace, build_torus, chain_boundary,
+                    constant, t_power)
 
 RATE_CHOICES = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
 
@@ -52,6 +53,34 @@ def random_complex(rng, max_vertices=6, max_cells=24, rates=RATE_CHOICES):
             b.add_simplex(quad, rate=rng.choice(rates))
             count += 1
     return b.complex(), dict(b.rates)
+
+
+def random_rate_torus(rng, n, rates=RATE_CHOICES):
+    """build_torus(0, 2, n) with a random rate on every cell."""
+    c, annotation = build_torus(0, 2, n)
+    return c, {cid: rng.choice(rates) for cid in sorted(annotation)}
+
+
+def projective_plane() -> CellComplex:
+    """RP^2 as a CW complex: one vertex, one loop e, a 2-cell with boundary 2e.
+
+    Rational Betti numbers (1, 0, 0); over the integers H_1 is Z/2.
+    """
+    return CellComplex([Cell(0, 0),
+                        Cell(1, 1, ((-1, 0), (1, 0)), "e"),
+                        Cell(2, 2, ((2, 1),), "f")])
+
+
+def klein_bottle() -> CellComplex:
+    """One vertex, loops a and b, a 2-cell glued along a + b - a + b.
+
+    The 2-cell lists a twice with opposite signs and b twice, so its
+    boundary is 2b.  Rational Betti numbers (1, 1, 0).
+    """
+    return CellComplex([Cell(0, 0),
+                        Cell(1, 1, ((-1, 0), (1, 0)), "a"),
+                        Cell(2, 1, ((-1, 0), (1, 0)), "b"),
+                        Cell(3, 2, ((1, 1), (1, 2), (-1, 1), (1, 2)), "f")])
 
 
 def random_subcomplex(rng, c: CellComplex, bias=0.45) -> CellSet:

@@ -1,11 +1,14 @@
 """End-to-end command line coverage, run in process through main()."""
 
+import itertools
 import json
 
 import pytest
 
 import helpers
-from vanhom import annotate_geometric, document_dict, dumps_document
+from vanhom import (ChainSubspaceComplex, VanishingBettiTable,
+                    annotate_geometric, document_dict, dumps_document)
+from vanhom import vanishing
 from vanhom.cli import main
 
 TAG = "vanhom-complex/1"
@@ -285,6 +288,65 @@ class TestErrors:
         path = write(tmp_path, "bad.json", doc)
         code, _, _ = run(capsys, "compute", path, "--velocity", "T^2")
         assert code == 1
+
+
+class TestMalformedDocuments:
+    CASES = [
+        ("[1, 2]", "a document must be a JSON object"),
+        ("null", "a document must be a JSON object"),
+        (json.dumps({"format": TAG, "cells": [5]}),
+         "cell entry 5 is not an object"),
+        (json.dumps({"format": TAG, "cells": [], "subcomplexes": [1]}),
+         "subcomplexes must map names"),
+        (json.dumps({"format": TAG,
+                     "cells": [{"id": 0, "dim": 0, "boundary": []}],
+                     "subcomplexes": {"a": 5}}),
+         "subcomplex 'a' must list cell ids"),
+        (json.dumps({"format": TAG,
+                     "cells": [{"id": 0, "dim": 0, "boundary": []}],
+                     "geometry": {"ambient_dim": 1, "vertices": [1]}}),
+         "vertices must map vertex ids"),
+    ]
+
+    @pytest.mark.parametrize("text, problem", CASES)
+    def test_reported_as_document_problems(self, tmp_path, capsys, text,
+                                           problem):
+        path = write(tmp_path, "odd.json", text)
+        code, out, err = run(capsys, "validate", path)
+        assert code == 1
+        assert problem in out
+        assert "Traceback" not in out + err
+        code, out, err = run(capsys, "compute", path, "--velocity", "T^0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert problem in err
+
+
+class TestInternalChecks:
+    def test_failed_subspace_check_exits_4(self, torus_doc, capsys,
+                                           monkeypatch):
+        def broken(self):
+            raise AssertionError(
+                "degree-1 subspace is not closed under the boundary")
+        monkeypatch.setattr(ChainSubspaceComplex, "assert_boundary_closed",
+                            broken)
+        code, out, err = run(capsys, "compute", torus_doc,
+                             "--velocity", "T^2", "--oracle")
+        assert (code, out) == (4, "")
+        assert err == ("error: internal check failed: degree-1 subspace "
+                       "is not closed under the boundary\n")
+
+    def test_failed_sweep_probe_exits_4(self, torus_doc, capsys,
+                                        monkeypatch):
+        calls = itertools.count()
+        monkeypatch.setattr(
+            vanishing, "vanishing_betti",
+            lambda c, a, v: VanishingBettiTable(v, {0: next(calls)}, 0))
+        code, out, err = run(capsys, "sweep", torus_doc)
+        assert (code, out) == (4, "")
+        assert err == ("error: internal check failed: vanishing dimensions "
+                       "vary inside a sweep interval\n")
 
 
 class TestDeterminism:

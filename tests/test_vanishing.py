@@ -1,5 +1,6 @@
 """The vanishing dimension tables, both engines, and velocity sweeps."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -93,6 +94,60 @@ class TestOracleAgreement:
             right = vanishing_betti_oracle(c, rates, v)
             assert left.dims == right.dims
             assert left.euler == right.euler
+
+
+def assert_engines_agree(c, rates):
+    """Engine and oracle agree at every breakpoint and its strict cut."""
+    for bp in critical_rates(c, rates):
+        for v in (Velocity(bp), Velocity(bp, strict=True)):
+            assert (vanishing_betti(c, rates, v).dims
+                    == vanishing_betti_oracle(c, rates, v).dims), v
+
+
+class TestNonUnitCoefficients:
+    FIXTURES = ((helpers.projective_plane, (1, 0, 0)),
+                (helpers.klein_bottle, (1, 1, 0)))
+
+    def test_rational_betti(self):
+        for build, expected in self.FIXTURES:
+            c = build()
+            assert tuple(betti(c, c.cell_ids(), j) for j in range(3)) \
+                == expected
+
+    def test_every_rate_assignment_matches_the_oracle(self):
+        for build, _ in self.FIXTURES:
+            c = build()
+            ids = [cell.id for cell in c.cells() if cell.dim > 0]
+            for choice in itertools.product((F(0), F(1), F(2)),
+                                            repeat=len(ids)):
+                assert_engines_agree(c, dict(zip(ids, choice)))
+
+
+class TestLargeComplexes:
+    def test_random_rate_tori_match_the_oracle(self):
+        rng = random.Random(606)
+        for n, cells in ((6, 216), (8, 384)):
+            c, rates = helpers.random_rate_torus(rng, n)
+            assert len(c) == cells
+            assert_engines_agree(c, rates)
+
+    def test_random_complex_matches_the_oracle(self):
+        c, rates = helpers.random_complex(random.Random(17), max_vertices=20,
+                                          max_cells=250)
+        assert len(c) == 236 and c.dim == 3
+        assert_engines_agree(c, rates)
+
+    def test_torus_closed_forms_do_not_depend_on_n(self):
+        both, fast, none = ({0: 0, 1: 2, 2: 1}, {0: 0, 1: 1, 2: 1},
+                            {0: 0, 1: 0, 2: 0})
+        expected = [(Velocity(F(-1)), both), (Velocity(F(0)), both),
+                    (Velocity(F(0), strict=True), fast),
+                    (Velocity(F(1)), fast), (Velocity(F(2)), fast),
+                    (Velocity(F(2), strict=True), none)]
+        for n in (4, 8, 12):
+            c, rates = build_torus(0, 2, n)
+            for v, dims in expected:
+                assert vanishing_betti(c, rates, v).dims == dims, (n, v)
 
 
 class TestInvariants:
