@@ -20,7 +20,7 @@ from .cells import (Cell, CellComplex, CellSet, InvalidComplex, NotFaceClosed,
 from .thinness import (DegenerateSimplex, Filtration, GeometricComplex,
                        MissingRate, RateAnnotation, annotate_geometric,
                        critical_rates, filtration, invariant_factor_valuations,
-                       is_thin, rate_of, simplex_rate)
+                       is_thin, rate_of, simplex_rate, simplex_rates)
 from .homology import (Chain, RationalMatrix, Subspace, betti, boundary_matrix,
                        boundary_space, chain_boundary, cycle_space,
                        image_betti, kernel_basis, rank, rank_of,

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from .cells import Cell, CellComplex, CellSet, validate, vertex_support
 from .puiseux import (INF, ExtRational, PuiseuxSeries, SeriesParseError,
                       format_series, parse_series)
-from .thinness import GeometricComplex, simplex_rate
+from .thinness import GeometricComplex, simplex_rates
 
 FORMAT_TAG = "vanhom-complex/1"
 
@@ -54,25 +54,48 @@ def _format_rate(rate: ExtRational) -> str:
     return "inf" if rate is INF else str(rate)
 
 
+def _integer(value, what: str, least=None) -> int:
+    # JSON numbers arrive as int or float, and bool is an int subclass:
+    # accept only a real int, so nothing is truncated or coerced
+    if type(value) is not int or (least is not None and value < least):
+        kind = "an integer" if least is None else f"an integer >= {least}"
+        raise TypeError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
 def _cells_from_data(data: dict) -> CellComplex:
     cells = []
     for item in data.get("cells", []):
         if not isinstance(item, dict):
             raise TypeError(f"cell entry {item!r} is not an object")
-        boundary = tuple((int(k), int(f)) for k, f in item.get("boundary", []))
-        cells.append(Cell(int(item["id"]), int(item["dim"]), boundary,
-                          item.get("label")))
+        cid = _integer(item["id"], "cell id")
+        boundary = item.get("boundary", [])
+        if not isinstance(boundary, (list, tuple)) or not all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2
+                for pair in boundary):
+            raise TypeError(
+                f"cell {cid}: boundary must list [coefficient, face] pairs")
+        boundary = tuple(
+            (_integer(k, f"cell {cid}: boundary coefficient"),
+             _integer(f, f"cell {cid}: face id")) for k, f in boundary)
+        cells.append(Cell(cid, _integer(item["dim"], f"cell {cid}: dim", 0),
+                          boundary, item.get("label")))
     return CellComplex(cells)
 
 
-def _geometry_from_data(c: CellComplex, block: dict,
-                        precision_cap) -> GeometricComplex:
-    ambient = int(block["ambient_dim"])
+def _geometry_from_data(block, precision_cap) -> GeometricComplex:
+    if not isinstance(block, dict):
+        raise TypeError("geometry must be an object")
+    ambient = _integer(block["ambient_dim"], "ambient_dim", 0)
     coords: Dict[int, Tuple[PuiseuxSeries, ...]] = {}
     vertices = block.get("vertices", {})
     if not isinstance(vertices, dict):
         raise TypeError("vertices must map vertex ids to coordinates")
     for key, texts in vertices.items():
+        if not (isinstance(texts, list) and len(texts) == ambient
+                and all(isinstance(text, str) for text in texts)):
+            raise TypeError(
+                f"vertex {key}: expected a list of {ambient} series strings")
         point = []
         for text in texts:
             s = parse_series(text)
@@ -84,45 +107,45 @@ def _geometry_from_data(c: CellComplex, block: dict,
                             simplices=[])
 
 
-def document_problems(data: dict, precision_cap=None) -> List[str]:
-    """Everything wrong with a document, without raising.
+def _read_document(data, precision_cap):
+    """Check a document and build what it describes, in one pass.
 
-    Covers the format tag, cell structure, the complex laws, rate syntax,
-    geometry coverage and the face-closure of declared subcomplexes.
+    Returns (problems, complex, geometry, explicit rates).  The complex is
+    None when the cells are too malformed to build one; the geometry is
+    None when the document has none or it does not parse.
     """
     if not isinstance(data, dict):
-        return ["a document must be a JSON object"]
+        return ["a document must be a JSON object"], None, None, {}
     problems = []
     if data.get("format") != FORMAT_TAG:
         problems.append(f"format tag must be {FORMAT_TAG!r}")
     if not isinstance(data.get("cells"), list):
         problems.append("missing cell list")
-        return problems
+        return problems, None, None, {}
     try:
         c = _cells_from_data(data)
     except (KeyError, TypeError, ValueError) as exc:
         problems.append(f"malformed cells: {exc}")
-        return problems
+        return problems, None, None, {}
     report = validate(c)
     problems.extend(report.problems)
 
-    rated = set()
+    rated: Dict[int, ExtRational] = {}
     for item in data["cells"]:
-        cid = int(item["id"])
+        cid = item["id"]
         if "rate" in item:
             if c.cell(cid).dim == 0:
                 problems.append(f"vertex {cid} must not carry a rate")
                 continue
             try:
-                _parse_rate(item["rate"])
-                rated.add(cid)
+                rated[cid] = _parse_rate(item["rate"])
             except DocumentError as exc:
                 problems.append(str(exc))
 
     geometry = None
     if "geometry" in data:
         try:
-            geometry = _geometry_from_data(c, data["geometry"], precision_cap)
+            geometry = _geometry_from_data(data["geometry"], precision_cap)
         except (KeyError, TypeError, ValueError, SeriesParseError) as exc:
             problems.append(f"bad geometry: {exc}")
         if geometry is not None:
@@ -148,9 +171,8 @@ def document_problems(data: dict, precision_cap=None) -> List[str]:
         problems.append("subcomplexes must map names to cell id lists")
         subcomplexes = {}
     for name, ids in subcomplexes.items():
-        try:
-            ids = [int(i) for i in ids]
-        except (TypeError, ValueError):
+        if not (isinstance(ids, list)
+                and all(type(i) is int for i in ids)):
             problems.append(f"subcomplex {name!r} must list cell ids")
             continue
         unknown = [i for i in ids if i not in c]
@@ -158,7 +180,18 @@ def document_problems(data: dict, precision_cap=None) -> List[str]:
             problems.append(f"subcomplex {name!r}: unknown cells {unknown}")
         elif not c.is_face_closed(frozenset(ids)):
             problems.append(f"subcomplex {name!r} is not closed under faces")
-    return problems
+    return problems, c, geometry, rated
+
+
+def document_problems(data: dict, precision_cap=None) -> List[str]:
+    """Everything wrong with a document, without raising.
+
+    Covers the format tag, cell structure, the complex laws, rate syntax,
+    geometry coverage and the face-closure of declared subcomplexes.  Ids,
+    dimensions, boundary coefficients and ambient_dim must be JSON
+    integers; a float or a boolean is a problem, never truncated.
+    """
+    return _read_document(data, precision_cap)[0]
 
 
 def load_document(data: dict, precision_cap=None) -> ComplexDocument:
@@ -166,35 +199,26 @@ def load_document(data: dict, precision_cap=None) -> ComplexDocument:
 
     Structural problems raise DocumentError (a subcomplex that is not
     face-closed is only a warning here; using it downstream fails).  Rates
-    missing from the cells are derived from the geometry; deriving can
-    raise IndeterminateAtPrecision or DegenerateSimplex.
+    missing from the cells are derived from the geometry, in cell-id
+    order; deriving can raise IndeterminateAtPrecision or DegenerateSimplex
+    for the first cell that fails.
     """
-    problems = document_problems(data, precision_cap)
+    problems, c, geometry, rates = _read_document(data, precision_cap)
     fatal = [p for p in problems if "closed under faces" not in p]
     if fatal:
         raise DocumentError("; ".join(fatal))
-    c = _cells_from_data(data)
-    warnings = []
-    geometry = None
-    if "geometry" in data:
-        geometry = _geometry_from_data(c, data["geometry"], precision_cap)
-    rates: Dict[int, ExtRational] = {}
-    for item in sorted(data["cells"], key=lambda i: int(i["id"])):
-        cid = int(item["id"])
-        if c.cell(cid).dim == 0:
-            continue
-        if "rate" in item:
-            rates[cid] = _parse_rate(item["rate"])
-            if geometry is not None:
-                warnings.append(
-                    f"cell {cid}: explicit rate overrides geometry")
-        else:
-            support = sorted(vertex_support(c, cid))
-            rates[cid] = simplex_rate(geometry, support)
-    subcomplexes = {name: frozenset(int(i) for i in ids)
+    warnings = [f"cell {cid}: explicit rate overrides geometry"
+                for cid in sorted(rates)] if geometry is not None else []
+    derived = [cell.id for cell in c.cells()
+               if cell.dim > 0 and cell.id not in rates]
+    if derived:
+        rates.update(zip(derived, simplex_rates(
+            geometry, [sorted(vertex_support(c, cid)) for cid in derived])))
+    subcomplexes = {name: frozenset(ids)
                     for name, ids in data.get("subcomplexes", {}).items()}
-    return ComplexDocument(complex=c, rates=rates, subcomplexes=subcomplexes,
-                           name=data.get("name"), warnings=warnings)
+    return ComplexDocument(complex=c, rates=dict(sorted(rates.items())),
+                           subcomplexes=subcomplexes, name=data.get("name"),
+                           warnings=warnings)
 
 
 def document_dict(c: CellComplex, rates: Dict[int, ExtRational],

@@ -7,11 +7,23 @@ vertices are zero-dimensional and never thin.
 
 Rates can be given directly or derived from coordinates: for a simplex
 embedded over the Puiseux field, the edge-difference matrix has a chain of
-valuations delta_1 <= minors ... and the successive differences
+minor valuations delta_1, delta_2, ... and the successive differences
 nu_i = delta_i - delta_(i-1) measure shrinking per dimension.  The last
 difference, the rate of the thinnest direction, is the simplex rate.  The
 minors are expanded exactly; cancellation between terms is detected, never
 estimated from leading exponents.
+
+The expansion runs over the integers.  Let D be a common denominator of
+every exponent and finite precision in play: substituting T = S^D turns
+them into integers and multiplies every valuation and truncation bound by
+D, which is divided out of the answer.  Let L be a common denominator of
+the coefficients: multiplying every row by L multiplies a size-i minor by
+the nonzero constant L^i, so no valuation and no zero test changes.  The
+truncation rules are those of PuiseuxSeries arithmetic, unchanged: a sum
+is known below the least precision of its parts, a product below
+min(prec_b + low_a, prec_a + low_b), and terms at or past the precision
+are dropped.  A document's vertices are converted once, with one D and
+one L, and every simplex's difference rows are formed from them.
 
 The filtration of a complex at velocity v puts into level j every cell of
 dimension below j together with the thin cells of dimension exactly j.
@@ -24,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cells import Cell, CellComplex, CellSet, InvalidComplex, SimplicialBuilder
@@ -131,6 +144,9 @@ class GeometricComplex:
             for vid in simplex:
                 if vid not in self.vertices:
                     raise InvalidComplex(f"unknown vertex {vid} in {simplex}")
+            if frozenset(simplex) in keyed:
+                raise InvalidComplex(
+                    f"duplicate simplex on {sorted(simplex)}")
             keyed.add(frozenset(simplex))
         for simplex in self.simplices:
             if len(simplex) < 3:
@@ -142,19 +158,119 @@ class GeometricComplex:
                         f"missing face {sorted(face)} of {tuple(simplex)}")
 
 
-def _det(matrix: Sequence[Sequence[PuiseuxSeries]]) -> PuiseuxSeries:
-    # exact Laplace expansion along the first row; sizes stay tiny
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total: Optional[PuiseuxSeries] = None
-    for k in range(n):
-        minor = [[row[j] for j in range(n) if j != k] for row in matrix[1:]]
-        piece = matrix[0][k] * _det(minor)
-        if k % 2:
-            piece = -piece
-        total = piece if total is None else total + piece
-    return total
+# An integer series is ({exponent: coefficient}, precision or None): a
+# PuiseuxSeries with its exponents and precision multiplied by a common
+# denominator D and its coefficients by a common multiple L.  None is an
+# infinite precision.
+_IntSeries = Tuple[Dict[int, int], Optional[int]]
+
+
+def _scales(entries: Iterable[PuiseuxSeries]) -> Tuple[int, int]:
+    """(D, L): the lcm of all exponent and finite precision denominators,
+    and the lcm of all coefficient denominators."""
+    d = scale = 1
+    for s in entries:
+        for exp, coeff in s.terms:
+            d = lcm(d, exp.denominator)
+            scale = lcm(scale, coeff.denominator)
+        if s.precision is not INF:
+            d = lcm(d, s.precision.denominator)
+    return d, scale
+
+
+def _integer_series(s: PuiseuxSeries, d: int, scale: int) -> _IntSeries:
+    terms = {e.numerator * (d // e.denominator):
+             c.numerator * (scale // c.denominator) for e, c in s.terms}
+    if s.precision is INF:
+        return terms, None
+    p = s.precision
+    return terms, p.numerator * (d // p.denominator)
+
+
+def _canonical(acc: Dict[int, int], prec: Optional[int]) -> _IntSeries:
+    return ({e: c for e, c in acc.items() if c and (prec is None or e < prec)},
+            prec)
+
+
+def _difference(a: _IntSeries, b: _IntSeries) -> _IntSeries:
+    (ta, pa), (tb, pb) = a, b
+    acc = dict(ta)
+    for e, c in tb.items():
+        acc[e] = acc.get(e, 0) - c
+    return _canonical(acc, pb if pa is None else pa if pb is None
+                      else min(pa, pb))
+
+
+def _expand(top: Sequence[_IntSeries], cols: Tuple[int, ...],
+            below: Dict[tuple, _IntSeries], rest: Tuple[int, ...]) -> _IntSeries:
+    """One minor by Laplace expansion along its first row.
+
+    top is that row of the matrix, rest the remaining rows; below holds the
+    minors one size smaller.  low is a leading exponent, or the precision
+    of a series without terms.  Terms at or past the precision are dropped
+    once, at the end: the sum's precision is at most that of every
+    product, so this drops what dropping after each step would.
+    """
+    acc: Dict[int, int] = {}
+    prec: Optional[int] = None
+    for k, col in enumerate(cols):
+        ta, pa = top[col]
+        tb, pb = below[rest, cols[:k] + cols[k + 1:]]
+        low_a = min(ta) if ta else pa
+        low_b = min(tb) if tb else pb
+        for bound in (None if pb is None or low_a is None else pb + low_a,
+                      None if pa is None or low_b is None else pa + low_b):
+            if bound is not None and (prec is None or bound < prec):
+                prec = bound
+        sign = -1 if k % 2 else 1
+        for ea, ca in ta.items():
+            ca *= sign
+            for eb, cb in tb.items():
+                e = ea + eb
+                acc[e] = acc.get(e, 0) + ca * cb
+    return _canonical(acc, prec)
+
+
+def _minor_valuations(matrix: Sequence[Sequence[_IntSeries]],
+                      d: int) -> List[ExtRational]:
+    # invariant_factor_valuations over integer series with exponents
+    # scaled by d; the minors of each size are kept for the next
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    r = min(nrows, ncols)
+    out: List[ExtRational] = []
+    prev = 0
+    minors = {((i,), (j,)): matrix[i][j]
+              for i in range(nrows) for j in range(ncols)}
+    for size in range(1, r + 1):
+        if size > 1:
+            minors = {(rows, cols): _expand(matrix[rows[0]], cols, minors,
+                                            rows[1:])
+                      for rows in itertools.combinations(range(nrows), size)
+                      for cols in itertools.combinations(range(ncols), size)}
+        best: Optional[int] = None
+        # a minor with no known term may hide its leading term anywhere
+        # from its precision on
+        pending_floor: Optional[int] = None
+        for terms, prec in minors.values():
+            if terms:
+                low = min(terms)
+                if best is None or low < best:
+                    best = low
+            elif prec is not None and (pending_floor is None
+                                       or prec < pending_floor):
+                pending_floor = prec
+        if pending_floor is not None and (best is None
+                                          or best >= pending_floor):
+            raise IndeterminateAtPrecision(
+                f"a size-{size} minor is undetermined below its truncation "
+                f"and could dominate")
+        if best is None:
+            out.extend([INF] * (r - size + 1))
+            return out
+        out.append(Fraction(best - prev, d))
+        prev = best
+    return out
 
 
 def invariant_factor_valuations(
@@ -166,58 +282,55 @@ def invariant_factor_valuations(
     Once every minor of some size cancels to exactly zero, the remaining
     entries are infinite.  A minor whose leading term is hidden by series
     truncation raises IndeterminateAtPrecision.
+
+    The minors are Laplace-expanded along the first row over the integers:
+    with T = S^D every exponent and precision is an integer (valuations
+    come out multiplied by D and are divided back), and rows multiplied by
+    the coefficients' common denominator L scale a size-i minor by L^i,
+    which moves no valuation and no zero test.  Sums and products keep
+    the truncation rules of PuiseuxSeries, so the values, and the cases
+    that raise, are those of cofactor expansion in PuiseuxSeries.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    r = min(nrows, ncols)
-    out: List[ExtRational] = []
-    prev: ExtRational = Fraction(0)
-    for size in range(1, r + 1):
-        best: ExtRational = INF
-        pending_floor: ExtRational = INF
-        for rows in itertools.combinations(range(nrows), size):
-            for cols in itertools.combinations(range(ncols), size):
-                det = _det([[matrix[i][j] for j in cols] for i in rows])
-                try:
-                    val = det.valuation()
-                except IndeterminateAtPrecision:
-                    # the hidden leading term sits at or past the precision
-                    pending_floor = min(pending_floor, det.precision)
-                    continue
-                if val < best:
-                    best = val
-        if pending_floor is not INF and not best < pending_floor:
-            raise IndeterminateAtPrecision(
-                f"a size-{size} minor is undetermined below its truncation "
-                f"and could dominate")
-        if best is INF:
-            out.extend([INF] * (r - size + 1))
-            return out
-        out.append(best - prev)
-        prev = best
-    return out
+    d, scale = _scales(x for row in matrix for x in row)
+    return _minor_valuations(
+        [[_integer_series(x, d, scale) for x in row] for row in matrix], d)
+
+
+def simplex_rates(g: GeometricComplex,
+                  simplices: Iterable[Sequence[int]]) -> List[Fraction]:
+    """Collapse rates of embedded simplices: the last nu of each edge matrix.
+
+    Rows are the coordinate differences to the first vertex.  The vertices
+    the simplices use are converted to integer series once, with one D and
+    one L for all of them (see invariant_factor_valuations), and the rows
+    are formed in integers.  Simplices are rated in the order given and
+    the first failure is raised: IndeterminateAtPrecision, or
+    DegenerateSimplex for affinely dependent vertices.
+    """
+    simplices = [tuple(s) for s in simplices]
+    used = sorted({vid for s in simplices for vid in s})
+    d, scale = _scales(x for vid in used for x in g.vertices[vid])
+    points = {vid: [_integer_series(x, d, scale) for x in g.vertices[vid]]
+              for vid in used}
+    rates = []
+    for simplex in simplices:
+        base = points[simplex[0]]
+        rows = [[_difference(points[vid][k], base[k])
+                 for k in range(g.ambient_dim)] for vid in simplex[1:]]
+        if len(rows) > g.ambient_dim:
+            raise DegenerateSimplex(
+                f"{simplex}: dimension exceeds the ambient space")
+        rate = _minor_valuations(rows, d)[-1]
+        if rate is INF:
+            raise DegenerateSimplex(
+                f"{simplex}: vertices are affinely dependent")
+        rates.append(rate)
+    return rates
 
 
 def simplex_rate(g: GeometricComplex, simplex: Sequence[int]) -> Fraction:
-    """Collapse rate of one embedded simplex: the last nu of its edge matrix.
-
-    Rows are the coordinate differences to the first vertex.  Degenerate
-    simplices (affinely dependent vertices) are refused.
-    """
-    simplex = tuple(simplex)
-    base = g.vertices[simplex[0]]
-    rows = []
-    for vid in simplex[1:]:
-        point = g.vertices[vid]
-        rows.append([point[k] - base[k] for k in range(g.ambient_dim)])
-    if len(rows) > g.ambient_dim:
-        raise DegenerateSimplex(
-            f"{simplex}: dimension exceeds the ambient space")
-    nus = invariant_factor_valuations(rows)
-    rate = nus[-1]
-    if rate is INF:
-        raise DegenerateSimplex(f"{simplex}: vertices are affinely dependent")
-    return rate
+    """Collapse rate of one embedded simplex; see simplex_rates."""
+    return simplex_rates(g, [simplex])[0]
 
 
 def annotate_geometric(
@@ -234,6 +347,6 @@ def annotate_geometric(
         b.add_vertex(vid)
     ordered = sorted((tuple(s) for s in g.simplices),
                      key=lambda s: (len(s), tuple(sorted(s))))
-    for simplex in ordered:
-        b.add_simplex(simplex, rate=simplex_rate(g, simplex))
+    for simplex, rate in zip(ordered, simplex_rates(g, ordered)):
+        b.add_simplex(simplex, rate=rate)
     return b.complex(), dict(b.rates)

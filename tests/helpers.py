@@ -1,10 +1,11 @@
 """Shared generators and independent mini-oracles for the test suite."""
 
+import itertools
 from fractions import Fraction
 
-from vanhom import (Cell, CellComplex, CellSet, GeometricComplex,
-                    SimplicialBuilder, Subspace, build_torus, chain_boundary,
-                    constant, t_power)
+from vanhom import (INF, Cell, CellComplex, CellSet, GeometricComplex,
+                    IndeterminateAtPrecision, SimplicialBuilder, Subspace,
+                    build_torus, chain_boundary, constant, series, t_power)
 
 RATE_CHOICES = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
 
@@ -194,3 +195,89 @@ def geometric_torus():
     simplices = sorted(by_set.values(), key=lambda s: (len(s), s))
     return GeometricComplex(ambient_dim=4, vertices=verts,
                             simplices=simplices)
+
+
+def _cofactor_det(matrix):
+    # Laplace expansion along the first row, in PuiseuxSeries arithmetic
+    n = len(matrix)
+    if n == 1:
+        return matrix[0][0]
+    total = None
+    for k in range(n):
+        minor = [[row[j] for j in range(n) if j != k] for row in matrix[1:]]
+        piece = matrix[0][k] * _cofactor_det(minor)
+        if k % 2:
+            piece = -piece
+        total = piece if total is None else total + piece
+    return total
+
+
+def reference_invariant_factor_valuations(matrix):
+    """invariant_factor_valuations by cofactor expansion in PuiseuxSeries.
+
+    Every minor of every size is expanded afresh, with no memoising and no
+    integer scaling; the library's integer kernel must agree value for
+    value and raise IndeterminateAtPrecision in the same cases.
+    """
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    r = min(nrows, ncols)
+    out = []
+    prev = Fraction(0)
+    for size in range(1, r + 1):
+        best = INF
+        pending_floor = INF
+        for rows in itertools.combinations(range(nrows), size):
+            for cols in itertools.combinations(range(ncols), size):
+                det = _cofactor_det([[matrix[i][j] for j in cols]
+                                     for i in rows])
+                try:
+                    val = det.valuation()
+                except IndeterminateAtPrecision:
+                    pending_floor = min(pending_floor, det.precision)
+                    continue
+                if val < best:
+                    best = val
+        if pending_floor is not INF and not best < pending_floor:
+            raise IndeterminateAtPrecision(
+                f"a size-{size} minor is undetermined below its truncation "
+                f"and could dominate")
+        if best is INF:
+            out.extend([INF] * (r - size + 1))
+            return out
+        out.append(best - prev)
+        prev = best
+    return out
+
+
+def embedded_slab():
+    """One unit cube in 3-space, T^(3/2) thick, cut into six Kuhn tetrahedra.
+
+    The coordinates are multi-term series with fractional exponents and
+    rational coefficients, so the rates take several distinct values.
+    """
+    ux = [(Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(1))]
+    uy = [(Fraction(0), Fraction(1)), (Fraction(2, 3), Fraction(-2)),
+          (Fraction(5, 3), Fraction(1, 3))]
+    uz = [(Fraction(3, 2), Fraction(1)), (Fraction(11, 6), Fraction(1))]
+
+    def scaled(unit, value):
+        return series([(e, value * c) for e, c in unit])
+
+    def vid(i, j, k):
+        return 4 * k + 2 * j + i
+
+    verts = {vid(i, j, k): (scaled(ux, i), scaled(uy, j), scaled(uz, k))
+             for i in (0, 1) for j in (0, 1) for k in (0, 1)}
+    simplices = set()
+    for order in itertools.permutations(range(3)):
+        point = [0, 0, 0]
+        path = [vid(*point)]
+        for axis in order:
+            point[axis] += 1
+            path.append(vid(*point))
+        for size in (2, 3, 4):
+            simplices.update(itertools.combinations(path, size))
+    return GeometricComplex(ambient_dim=3, vertices=verts,
+                            simplices=sorted(simplices,
+                                             key=lambda s: (len(s), s)))

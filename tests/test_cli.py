@@ -306,6 +306,28 @@ class TestMalformedDocuments:
                      "cells": [{"id": 0, "dim": 0, "boundary": []}],
                      "geometry": {"ambient_dim": 1, "vertices": [1]}}),
          "vertices must map vertex ids"),
+        # a float or a boolean is never read as an integer
+        (json.dumps({"format": TAG,
+                     "cells": [{"id": 1.9, "dim": 0, "boundary": []}]}),
+         "cell id must be an integer, got 1.9"),
+        (json.dumps(edge_doc() | {"cells": [
+            {"id": 0, "dim": 0, "boundary": []},
+            {"id": 1, "dim": 0, "boundary": []},
+            {"id": 2, "dim": 1, "boundary": [[-1.5, 0], [1, 1]]}]}),
+         "cell 2: boundary coefficient must be an integer, got -1.5"),
+        (json.dumps({"format": TAG,
+                     "cells": [{"id": 0, "dim": True, "boundary": []}]}),
+         "cell 0: dim must be an integer >= 0, got True"),
+        (json.dumps(edge_doc() | {"geometry": {
+            "ambient_dim": 1.0, "vertices": {"0": ["0"], "1": ["T^5"]}}}),
+         "ambient_dim must be an integer >= 0, got 1.0"),
+        (json.dumps(edge_doc() | {"geometry": {
+            "ambient_dim": 2, "vertices": {"0": ["0"], "1": ["T^5", "0"]}}}),
+         "vertex 0: expected a list of 2 series strings"),
+        (json.dumps({"format": TAG,
+                     "cells": [{"id": 0, "dim": 0, "boundary": []}],
+                     "subcomplexes": {"a": [0.0]}}),
+         "subcomplex 'a' must list cell ids"),
     ]
 
     @pytest.mark.parametrize("text, problem", CASES)

@@ -1,17 +1,19 @@
 """Rates, thin cells, filtrations, and rates derived from coordinates."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import helpers
 from vanhom import (INF, DegenerateSimplex, GeometricComplex,
-                    IndeterminateAtPrecision, MissingRate, Velocity,
+                    IndeterminateAtPrecision, InvalidComplex, MissingRate, Velocity,
                     annotate_geometric, build_pinched_spheres, build_torus,
                     constant, critical_rates, filtration,
-                    invariant_factor_valuations, is_thin, parse_series,
-                    rate_of, series, simplex_rate, t_power, vertex_support)
+                    invariant_factor_valuations, is_thin, load_document,
+                    parse_series, rate_of, series, simplex_rate,
+                    simplex_rates, t_power, vertex_support)
 
 F = Fraction
 T = t_power
@@ -169,6 +171,91 @@ class TestInvariantFactors:
         assert invariant_factor_valuations(m) == [F(0)]
 
 
+class TestIntegerKernel:
+    """The integer minor kernel against cofactor expansion in PuiseuxSeries."""
+
+    EXPONENTS = [F(-1), F(-1, 2), F(0), F(1, 3), F(1, 2), F(1), F(3, 2),
+                 F(2), F(3)]
+    COEFFICIENTS = [F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 4)]
+    PRECISIONS = [F(0), F(1, 2), F(1), F(2), F(7, 2), F(4)]
+
+    def entry(self, rng):
+        # exact zero, 0 + O(T^p), or up to two terms, truncated or not
+        if rng.random() < 0.15:
+            return series(())
+        precision = (rng.choice(self.PRECISIONS) if rng.random() < 0.3
+                     else INF)
+        count = rng.randint(0 if precision is not INF else 1, 2)
+        return series([(rng.choice(self.EXPONENTS),
+                        rng.choice(self.COEFFICIENTS))
+                       for _ in range(count)], precision=precision)
+
+    def matrix(self, rng):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = [[self.entry(rng) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:
+            # a multiple of the first row: minors cancel exactly, or only
+            # up to the truncation
+            factor = series([(rng.choice(self.EXPONENTS),
+                              rng.choice(self.COEFFICIENTS))])
+            m[-1] = [x * factor for x in m[0]]
+        return m
+
+    @staticmethod
+    def outcome(route, m):
+        try:
+            return route(m)
+        except IndeterminateAtPrecision as exc:
+            return f"indeterminate: {exc}"
+
+    def test_agrees_with_cofactor_expansion(self):
+        rng = random.Random(3014)
+        kinds = Counter()
+        for _ in range(2000):
+            m = self.matrix(rng)
+            expected = self.outcome(
+                helpers.reference_invariant_factor_valuations, m)
+            assert self.outcome(invariant_factor_valuations, m) == expected
+            kinds["indeterminate" if isinstance(expected, str)
+                  else "infinite" if INF in expected else "finite"] += 1
+        # the sample reaches every kind of answer
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_batch_matches_single_rates(self):
+        for g in (helpers.geometric_torus(), helpers.embedded_slab()):
+            assert simplex_rates(g, g.simplices) == [
+                simplex_rate(g, s) for s in g.simplices]
+
+    def test_slab_rates(self):
+        # a simplex is thin exactly when its projection to the base plane
+        # loses a dimension
+        g = helpers.embedded_slab()
+        rates = dict(zip(g.simplices, simplex_rates(g, g.simplices)))
+        assert set(rates.values()) == {F(0), F(3, 2)}
+        assert rates[(0, 4)] == F(3, 2)
+        assert rates[(0, 1, 3)] == F(0)
+
+    def test_first_failure_by_cell_id(self):
+        # cell 3 joins two coincident vertices (degenerate); cell 4 ends
+        # at a vertex known only to vanish to order 3 (indeterminate)
+        def doc(degenerate_id, indeterminate_id):
+            return {"format": "vanhom-complex/1",
+                    "cells": [{"id": 0, "dim": 0, "boundary": []},
+                              {"id": 1, "dim": 0, "boundary": []},
+                              {"id": 2, "dim": 0, "boundary": []},
+                              {"id": degenerate_id, "dim": 1,
+                               "boundary": [[-1, 0], [1, 1]]},
+                              {"id": indeterminate_id, "dim": 1,
+                               "boundary": [[-1, 0], [1, 2]]}],
+                    "geometry": {"ambient_dim": 1,
+                                 "vertices": {"0": ["0"], "1": ["0"],
+                                              "2": ["0 + O(T^3)"]}}}
+        with pytest.raises(DegenerateSimplex, match="affinely dependent"):
+            load_document(doc(3, 4))
+        with pytest.raises(IndeterminateAtPrecision, match="size-1 minor"):
+            load_document(doc(4, 3))
+
+
 class TestSimplexRate:
     def g(self, points, simplices, ambient=2):
         return GeometricComplex(ambient_dim=ambient,
@@ -258,6 +345,12 @@ class TestAnnotateGeometric:
         expected = {vertex_support(built, cid): built_rates[cid]
                     for cid in built_rates}
         assert derived == expected
+
+    def test_duplicate_simplex_rejected(self):
+        g = GeometricComplex(1, {0: (series(()),), 1: (T(5),)},
+                             [(0, 1), (1, 0)])
+        with pytest.raises(InvalidComplex, match="duplicate simplex"):
+            annotate_geometric(g)
 
     def test_missing_face_rejected(self):
         g = GeometricComplex(2,
