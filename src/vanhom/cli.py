@@ -16,14 +16,16 @@ Exit codes: 0 on success, 1 for invalid input (bad document, bad velocity,
 missing rates), 2 when series truncation leaves an answer undetermined,
 3 for precondition violations (sets that are not face-closed, nested, or
 removable), 4 when an internal consistency check fails (a sweep interval
-that is not constant, a chain subspace not closed under the boundary, a
-class coordinate that does not solve); the message names the check.
+that is not constant, a chain space not closed under the boundary, a
+pair-theory class that is not a class of the next group); the message
+names the check and, for the pair theory, the degree and the velocity.
 Output is deterministic byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -286,8 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built on first use and shared by every later main() in the process;
+    # parse_args leaves a parser unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except IndeterminateAtPrecision as exc:

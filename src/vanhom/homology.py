@@ -2,19 +2,23 @@
 
 Nothing here is a numerical estimate; there are two exact routes.
 
-* The engine route ranks integer boundary matrices.  Boundary
-  coefficients are integers, so :func:`_integer_rank` eliminates sparse
-  integer columns fraction-free (gcd-normalised, after Bareiss 1968) and
-  returns their rank over the rationals.  :func:`betti` (the ordinary
-  Betti number of a face-closed cell set) and :func:`image_betti` (the
-  rank of the map induced on homology by including one cell set into a
-  larger one) are both a cell count combined with such ranks.
+* The engine route works on integer boundary matrices.  Boundary
+  coefficients are integers, so :func:`_integer_reduce` eliminates sparse
+  integer columns fraction-free (gcd-normalised, after Bareiss 1968): it
+  gives their rank over the rationals, the input columns that are
+  independent and, on request, primitive integer kernel combinations.
+  :func:`betti` (the ordinary Betti number of a face-closed cell set) and
+  :func:`image_betti` (the rank of the map induced on homology by
+  including one cell set into a larger one) are a cell count combined
+  with such ranks, and the pair theory in :mod:`vanhom.vanishing` holds
+  every space as an independent integer spanning set and reads every
+  dimension and check off such ranks.
 
 * The oracle route works with chain subspaces: sparse chains with
   Fraction entries, kept as reduced echelon bases by :class:`Subspace`,
   which makes dimensions, sums, intersections, kernels and preimages
-  cheap and deterministic.  The chain-subspace oracle and the pair theory
-  are built on it, independently of the engine route.
+  cheap and deterministic.  Only the chain-subspace oracle is built on
+  it, independently of the engine route.
 """
 
 from __future__ import annotations
@@ -30,11 +34,14 @@ IntColumn = Dict[int, int]
 
 
 def chain_boundary(c: CellComplex, chain: Chain) -> Chain:
-    """Apply the boundary operator to a sparse chain."""
+    """Apply the boundary operator to a sparse chain.
+
+    Integer chains give integer chains, rational chains rational ones.
+    """
     out: Chain = {}
     for cid, coeff in chain.items():
         for k, face in c.cell(cid).boundary:
-            new = out.get(face, Fraction(0)) + coeff * k
+            new = out.get(face, 0) + coeff * k
             if new:
                 out[face] = new
             else:
@@ -63,7 +70,7 @@ class _Eliminator:
 
     Rows are kept fully reduced with pivot coefficient one, ordered by
     pivot key; combination tracking ties every row back to the input
-    vectors, which yields kernels and coordinate solutions for free.
+    vectors, which yields kernels for free.
     """
 
     def __init__(self, track: bool = False):
@@ -122,20 +129,6 @@ class _Eliminator:
         reduced, _ = self._reduce(dict(vec), None)
         return reduced
 
-    def solve(self, target: Chain) -> Optional[List[Fraction]]:
-        """Coefficients writing target in the inserted vectors, or None."""
-        if not self.track:
-            raise ValueError("eliminator built without combination tracking")
-        vec, combo = dict(target), {}
-        for pivot, basis_vec, basis_combo in self.rows:
-            coeff = vec.get(pivot)
-            if coeff:
-                vec = _add_scaled(vec, -coeff, basis_vec)
-                combo = _add_scaled(combo, coeff, basis_combo)
-        if vec:
-            return None
-        return [combo.get(i, Fraction(0)) for i in range(self.count)]
-
 
 def rank_of(vectors: Iterable[Chain]) -> int:
     elim = _Eliminator()
@@ -183,16 +176,8 @@ class Subspace:
         return Subspace(self.basis() + other.basis())
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        mine, theirs = self.basis(), other.basis()
-        combos = kernel_basis(mine + theirs)
-        vectors = []
-        for combo in combos:
-            vec: Chain = {}
-            for idx, coeff in combo.items():
-                if idx < len(mine):
-                    vec = _add_scaled(vec, coeff, mine[idx])
-            vectors.append(vec)
-        return Subspace(vectors)
+        mine = self.basis()
+        return Subspace(_combine(mine, kernel_basis(mine + other.basis())))
 
     def map_kernel(self, f: Callable[[Chain], Chain]) -> "Subspace":
         """Kernel of a linear map restricted to this subspace."""
@@ -204,25 +189,25 @@ class Subspace:
                      target: "Subspace") -> "Subspace":
         """The part of this subspace that f sends into target."""
         basis = self.basis()
-        images = [f(v) for v in basis]
-        combos = kernel_basis(images + target.basis())
-        vectors = []
-        for combo in combos:
-            vec: Chain = {}
-            for idx, coeff in combo.items():
-                if idx < len(basis):
-                    vec = _add_scaled(vec, coeff, basis[idx])
-            vectors.append(vec)
-        return Subspace(vectors)
+        combos = kernel_basis([f(v) for v in basis] + target.basis())
+        return Subspace(_combine(basis, combos))
 
 
 def _combine(basis: Sequence[Chain], combos: Iterable[Chain]) -> List[Chain]:
+    """The chain sum of coeff * basis[idx] over each combination.
+
+    Indices past the end of the basis are skipped: a kernel combination of
+    basis vectors followed by other vectors yields its basis part.  Integer
+    inputs give integer chains.
+    """
     out = []
     for combo in combos:
         vec: Chain = {}
         for idx, coeff in combo.items():
-            vec = _add_scaled(vec, coeff, basis[idx])
-        out.append(vec)
+            if idx < len(basis):
+                for key, value in basis[idx].items():
+                    vec[key] = vec.get(key, 0) + coeff * value
+        out.append({key: value for key, value in vec.items() if value})
     return out
 
 
@@ -330,39 +315,72 @@ def _boundary_columns(c: CellComplex, ids: Iterable[int]) -> List[IntColumn]:
     return out
 
 
-def _integer_rank(columns: Iterable[IntColumn]) -> int:
-    """Rank over the rationals of sparse integer columns.
+def _sub_scaled(a: int, col: IntColumn, b: int,
+                pivot: IntColumn) -> IntColumn:
+    """a*col - b*pivot, without zero entries."""
+    out = dict(col) if a == 1 else {key: a * v for key, v in col.items()}
+    for key, v in pivot.items():
+        new = out.get(key, 0) - b * v
+        if new:
+            out[key] = new
+        else:
+            del out[key]
+    return out
 
-    Fraction-free elimination after Bareiss (1968): a column is reduced at
-    its lowest row key against the stored pivot column there, as
-    a*column - b*pivot, and its content gcd is divided out after every
-    step.  Each step cancels the lowest key, so a column either runs out
-    or lands on a free key and becomes the pivot there; the rank is the
-    number of pivots.  Integers only, no back-reduction.
+
+def _integer_reduce(columns: Iterable[IntColumn], kernel: bool = False
+                    ) -> Tuple[List[int], List[IntColumn]]:
+    """Fraction-free elimination of sparse integer columns.
+
+    After Bareiss (1968): a column is reduced at its lowest row key against
+    the stored pivot column there, as a*column - b*pivot, and its content
+    gcd is divided out after every step.  Each step cancels the lowest key,
+    so a column either runs out or lands on a free key and becomes the
+    pivot there.  Integers only, no back-reduction.
+
+    Returns the indices of the input columns that became pivots (they are
+    independent and span what all the columns span; their count is the
+    rank over the rationals) and, with ``kernel=True``, one integer kernel
+    combination {input index: coefficient} per column that ran out.  The
+    combination rides along through the same steps, the gcd is divided out
+    of the column and the combination jointly, so every combination is
+    primitive; each holds its own column's index and earlier ones only, so
+    they are independent and span the kernel.
     """
-    pivots: Dict[int, IntColumn] = {}
-    for col in columns:
+    pivots: Dict[int, Tuple[IntColumn, Optional[IntColumn]]] = {}
+    independent: List[int] = []
+    kernels: List[IntColumn] = []
+    for index, col in enumerate(columns):
+        combo = {index: 1} if kernel else None
         while col:
             low = min(col)
-            pivot = pivots.get(low)
-            if pivot is None:
-                pivots[low] = col
+            if low not in pivots:
+                pivots[low] = (col, combo)
+                independent.append(index)
                 break
+            pivot, pivot_combo = pivots[low]
             g = gcd(pivot[low], col[low])
             a, b = pivot[low] // g, col[low] // g
-            out = dict(col) if a == 1 else {key: a * v
-                                            for key, v in col.items()}
-            for key, v in pivot.items():
-                new = out.get(key, 0) - b * v
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-            content = gcd(*out.values())
+            col = _sub_scaled(a, col, b, pivot)
+            if combo is None:
+                content = gcd(*col.values())
+            else:
+                combo = _sub_scaled(a, combo, b, pivot_combo)
+                content = gcd(*col.values(), *combo.values())
             if content > 1:
-                out = {key: v // content for key, v in out.items()}
-            col = out
-    return len(pivots)
+                col = {key: v // content for key, v in col.items()}
+                if combo is not None:
+                    combo = {key: v // content for key, v in combo.items()}
+        else:
+            # the column ran out: its combination is a kernel vector
+            if combo is not None:
+                kernels.append(combo)
+    return independent, kernels
+
+
+def _integer_rank(columns: Iterable[IntColumn]) -> int:
+    """Rank over the rationals of sparse integer columns."""
+    return len(_integer_reduce(columns)[0])
 
 
 def cycle_space(c: CellComplex, s: CellSet, j: int) -> Subspace:

@@ -15,11 +15,15 @@ independent computations are provided:
 
 Both must agree everywhere; the test suite leans on that.
 
-The relative theory replaces the chain subspaces by their counterparts for
+The relative theory works with the counterparts of those chain spaces for
 a pair (complex, subcomplex A): thin chains that are attached to A, the
 relative cycle condition, and the induced long exact sequence connecting
 the attached, absolute and relative groups.  Excision drops a set W from
-the interior of A without changing the relative groups.
+the interior of A without changing the relative groups.  It runs on the
+integer kernel of :mod:`vanhom.homology`: each space is an independent
+set of integer chains, and every dimension, map rank and internal check
+is a rank of integer columns.  Only the oracle side (the chain-subspace
+complexes and :func:`vanishing_betti_oracle`) uses :class:`Subspace`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cells import CellComplex, CellSet, NotFaceClosed
-from .homology import (Chain, Subspace, _Eliminator, chain_boundary,
+from .homology import (IntColumn, Subspace, _boundary_columns, _combine,
+                       _integer_rank, _integer_reduce, chain_boundary,
                        image_betti, rank_of, restrict_chain, unit_chains)
 from .puiseux import Velocity
 from .thinness import RateAnnotation, critical_rates, filtration, is_thin
@@ -289,174 +294,181 @@ def attached_chain_complex(c: CellComplex, a: RateAnnotation, sub: CellSet,
     sub = frozenset(sub)
     if not c.is_face_closed(sub):
         raise NotFaceClosed("subcomplex is not closed under faces")
-    pc = _PairChains(c, a, sub, v)
-    return ChainSubspaceComplex(c, {j: pc.attached[j] for j in pc.degrees})
+    pair = _Pair(c, a, sub, v)
+    return ChainSubspaceComplex(c, {j: Subspace(pair.attached[j])
+                                    for j in pair.degrees})
 
 
-class _PairChains:
-    """Chain subspaces for a pair, shared by the relative computations."""
+def _independent(columns: List[IntColumn]) -> List[IntColumn]:
+    """An independent subset of the columns with the same span."""
+    independent, _ = _integer_reduce(columns)
+    return [columns[i] for i in independent]
+
+
+def _kernel(basis: List[IntColumn],
+            images: List[IntColumn]) -> List[IntColumn]:
+    """The basis combinations whose images vanish, as independent chains.
+
+    Images past the end of the basis only take part in the relations, so
+    with them the result spans the part of the basis span that the map
+    sends into their span.
+    """
+    _, combos = _integer_reduce(images, kernel=True)
+    return _combine(basis, combos)
+
+
+def _require(part: List[IntColumn], space: List[IntColumn], space_rank: int,
+             failure: str):
+    """Raise AssertionError(failure) unless part lies in the span of space.
+
+    U lies in W exactly when rank(U and W) = rank W.
+    """
+    if _integer_rank(part + space) != space_rank:
+        raise AssertionError(failure)
+
+
+class _Pair:
+    """One pair (complex, subcomplex) at one velocity, as integer ranks.
+
+    Each space is held as an independent integer spanning set, per degree j:
+
+    * prime: P_j, the thin j-chains plus the boundaries of thin
+      (j+1)-chains;
+    * bounds: B_j, the boundaries of thin (j+1)-chains;
+    * attached: A_j, the thin j-chains in the subcomplex plus the
+      subcomplex part of the boundary of each thin (j+1)-chain whose
+      boundary misses the thick j-cells outside the subcomplex;
+    * zrel: the relative cycles {x in P_j : dx in A_(j-1)}, an integer
+      kernel of [dP_j | A_(j-1)].
+
+    The relative boundaries are R_j = B_j + A_j.  Every dimension, every
+    map rank of the long exact sequence and every check is a rank of a
+    union of such sets; a check that fails raises AssertionError naming
+    the check, the degree and the velocity.
+    """
 
     def __init__(self, c: CellComplex, a: RateAnnotation, sub: CellSet,
                  v: Velocity):
         self.complex = c
-        self.sub = frozenset(sub)
+        self.velocity = v
         d = max(c.dim, 0)
         self.degrees = range(d + 1)
-        thin: Dict[int, List[int]] = {
-            j: _thin_ids(c, a, v, j) for j in range(d + 2)}
-        self.bnd_thin: Dict[int, List[Chain]] = {
-            j: [chain_boundary(c, u) for u in unit_chains(thin[j])]
-            for j in range(d + 2)}
-        # chains on thin cells whose boundary misses the thick cells
-        # outside the subcomplex; their projected boundaries are what the
-        # subcomplex can absorb
-        relfree: Dict[int, Subspace] = {}
-        for j in range(d + 2):
-            bad = frozenset(
-                cell.id for cell in c.cells_of_dim(j - 1)
-                if cell.id not in self.sub and not is_thin(c, a, cell.id, v))
-            units = unit_chains(thin[j])
-            space = Subspace(units)
-            relfree[j] = space.map_kernel(
-                lambda x, bad=bad: restrict_chain(chain_boundary(c, x), bad))
-        self.prime: Dict[int, Subspace] = {}
-        self.attached: Dict[int, Subspace] = {}
-        self.zrel: Dict[int, Subspace] = {}
-        self.rel_bounds: Dict[int, Subspace] = {}
+        thin = {j: _thin_ids(c, a, v, j) for j in range(d + 2)}
+        self.prime: Dict[int, List[IntColumn]] = {}
+        self.bounds: Dict[int, List[IntColumn]] = {}
+        self.attached: Dict[int, List[IntColumn]] = {}
+        self.zrel: Dict[int, List[IntColumn]] = {}
         for j in self.degrees:
-            self.prime[j] = Subspace(unit_chains(thin[j])
-                                     + self.bnd_thin[j + 1])
+            units = [{cid: 1} for cid in thin[j]]
+            above = _boundary_columns(c, thin[j + 1])
+            self.bounds[j] = _independent(above)
+            self.prime[j] = _independent(units + self.bounds[j])
+            thin_here = frozenset(thin[j])
+            bad = frozenset(cell.id for cell in c.cells_of_dim(j)
+                            if cell.id not in sub
+                            and cell.id not in thin_here)
+            free = _kernel(above, [restrict_chain(col, bad) for col in above])
+            self.attached[j] = _independent(
+                [{cid: 1} for cid in thin[j] if cid in sub]
+                + [restrict_chain(col, sub) for col in free])
         for j in self.degrees:
-            in_sub = [{cid: Fraction(1)} for cid in thin[j]
-                      if cid in self.sub]
-            projected = [restrict_chain(vec, self.sub)
-                         for vec in (chain_boundary(c, b)
-                                     for b in relfree[j + 1].basis())]
-            self.attached[j] = Subspace(in_sub + projected)
-        for j in self.degrees:
-            target = self.attached.get(j - 1, Subspace())
-            self.zrel[j] = self.prime[j].map_preimage(
-                lambda x: chain_boundary(c, x), target)
-            self.rel_bounds[j] = Subspace(self.bnd_thin[j + 1]) \
-                + self.attached[j]
+            images = [chain_boundary(c, x) for x in self.prime[j]]
+            self.zrel[j] = _kernel(self.prime[j],
+                                   images + self.attached.get(j - 1, []))
+
+    def _failure(self, what: str, j: int) -> str:
+        return f"degree-{j} {what} at {self.velocity}"
+
+    def _check_closed(self):
+        """The boundary maps P_j into P_(j-1) and A_j into A_(j-1)."""
+        for name, spaces in (("absolute", self.prime),
+                             ("attached", self.attached)):
+            for j in self.degrees[1:]:
+                below = spaces[j - 1]
+                _require([chain_boundary(self.complex, x) for x in spaces[j]],
+                         below, len(below), self._failure(
+                             f"{name} chains are not closed under the "
+                             f"boundary", j))
+
+    def _relative_bounds(self, j: int) -> Tuple[List[IntColumn], int]:
+        """R_j as a spanning set, and its rank, checked to lie in Zrel_j."""
+        rel_bounds = self.bounds[j] + self.attached[j]
+        _require(rel_bounds, self.zrel[j], len(self.zrel[j]),
+                 self._failure("relative boundary is not a relative cycle",
+                               j))
+        return rel_bounds, _integer_rank(rel_bounds)
 
     def relative_dims(self) -> Dict[int, int]:
-        out = {}
-        for j in self.degrees:
-            meet = self.rel_bounds[j].intersection(self.zrel[j])
-            out[j] = self.zrel[j].dim - meet.dim
-        return out
+        """dim Zrel_j - rank R_j per degree."""
+        self._check_closed()
+        return {j: len(self.zrel[j]) - self._relative_bounds(j)[1]
+                for j in self.degrees}
 
+    def les(self) -> Tuple[Dict[str, Dict[int, int]], List[LesNode]]:
+        """The three dimension tables and the long exact sequence's nodes.
 
-class _HomologyCoords:
-    """Representatives and class coordinates for one homology degree."""
+        The groups in degree j are Z(A_j)/dA_(j+1), Z(P_j)/B_j and
+        Zrel_j/R_j.  A map's rank is the rank its images add to the
+        target's boundaries: incl_j through Z(A_j) over B_j, quot_j through
+        Z(P_j) over R_j, conn_j through dZrel_j over dA_j.
+        """
+        self._check_closed()
+        c, degrees = self.complex, self.degrees
 
-    def __init__(self, c: CellComplex, bounds: Subspace, cycles: Subspace):
-        self._elim = _Eliminator(track=True)
-        self.rep_positions: List[int] = []
-        self.reps: List[Chain] = []
-        for vec in bounds.basis():
-            self._elim.add(vec)
-        for vec in cycles.basis():
-            position = self._elim.count
-            if self._elim.add(vec) is None:
-                self.rep_positions.append(position)
-                self.reps.append(vec)
+        def bd(vectors):
+            return [chain_boundary(c, x) for x in vectors]
 
-    @property
-    def dim(self) -> int:
-        return len(self.reps)
-
-    def coords(self, cycle: Chain) -> List[Fraction]:
-        solution = self._elim.solve(cycle)
-        if solution is None:
-            raise AssertionError("chain does not represent a class here")
-        return [solution[p] for p in self.rep_positions]
-
-
-def _matrix_rank(columns: List[List[Fraction]]) -> int:
-    return rank_of({i: v for i, v in enumerate(col) if v}
-                   for col in columns)
-
-
-def _apply(columns: List[List[Fraction]], vector: List[Fraction],
-           out_dim: int) -> List[Fraction]:
-    out = [Fraction(0)] * out_dim
-    for coeff, col in zip(vector, columns):
-        if coeff:
-            for i, v in enumerate(col):
-                out[i] += coeff * v
-    return out
-
-
-class _PairComputation:
-    """Everything about one pair at one velocity: dims, maps, exactness."""
-
-    def __init__(self, c: CellComplex, a: RateAnnotation, sub: CellSet,
-                 v: Velocity):
-        self.velocity = v
-        self.chains = pc = _PairChains(c, a, sub, v)
-        ChainSubspaceComplex(c, pc.prime).assert_boundary_closed()
-        ChainSubspaceComplex(c, pc.attached).assert_boundary_closed()
-
-        def bd(x):
-            return chain_boundary(c, x)
-
-        self.attached_h: Dict[int, _HomologyCoords] = {}
-        self.absolute_h: Dict[int, _HomologyCoords] = {}
-        self.relative_h: Dict[int, _HomologyCoords] = {}
-        for j in pc.degrees:
-            att_bounds = Subspace(bd(vec)
-                                  for vec in pc.attached.get(j + 1,
-                                                             Subspace()).basis())
-            self.attached_h[j] = _HomologyCoords(
-                c, att_bounds, pc.attached[j].map_kernel(bd))
-            self.absolute_h[j] = _HomologyCoords(
-                c, Subspace(pc.bnd_thin[j + 1]), pc.prime[j].map_kernel(bd))
-            self.relative_h[j] = _HomologyCoords(
-                c, pc.rel_bounds[j], pc.zrel[j])
-        # maps of the long sequence, as columns of class coordinates
-        self.incl: Dict[int, List[List[Fraction]]] = {}
-        self.quot: Dict[int, List[List[Fraction]]] = {}
-        self.conn: Dict[int, List[List[Fraction]]] = {}
-        for j in pc.degrees:
-            self.incl[j] = [self.absolute_h[j].coords(rep)
-                            for rep in self.attached_h[j].reps]
-            self.quot[j] = [self.relative_h[j].coords(rep)
-                            for rep in self.absolute_h[j].reps]
-            if j >= 1:
-                self.conn[j] = [self.attached_h[j - 1].coords(bd(rep))
-                                for rep in self.relative_h[j].reps]
-            else:
-                self.conn[j] = [[] for _ in self.relative_h[j].reps]
-
-    def dims(self, table: Dict[int, _HomologyCoords]) -> Dict[int, int]:
-        return {j: table[j].dim for j in self.chains.degrees}
-
-    def nodes(self) -> List[LesNode]:
-        out = []
-        degrees = list(self.chains.degrees)
-        empty: List[List[Fraction]] = []
+        abs_cycles, att_cycles, att_bd, rel_bd = {}, {}, {}, {}
+        for j in degrees:
+            abs_cycles[j] = _kernel(self.prime[j], bd(self.prime[j]))
+            images = bd(self.attached[j])
+            independent, combos = _integer_reduce(images, kernel=True)
+            att_cycles[j] = _combine(self.attached[j], combos)
+            att_bd[j] = [images[i] for i in independent]
+            rel_bd[j] = bd(self.zrel[j])
+        dims: Dict[str, Dict[int, int]] = {
+            "attached": {}, "absolute": {}, "relative": {}}
+        incl, quot, conn, composite = {}, {}, {}, {}
+        for j in degrees:
+            bounds, zrel = self.bounds[j], self.zrel[j]
+            za, zp = att_cycles[j], abs_cycles[j]
+            rel_bounds, rel_rank = self._relative_bounds(j)
+            # each class of one group must be a class of the next
+            _require(za, zp, len(zp), self._failure(
+                "attached cycle is not an absolute cycle", j))
+            _require(zp, zrel, len(zrel), self._failure(
+                "absolute cycle is not a relative cycle", j))
+            below = att_cycles.get(j - 1, [])
+            _require(rel_bd[j], below, len(below), self._failure(
+                "relative cycle has a boundary that is not an attached "
+                "cycle", j))
+            dims["attached"][j] = len(za) - len(att_bd.get(j + 1, []))
+            dims["absolute"][j] = len(zp) - len(bounds)
+            dims["relative"][j] = len(zrel) - rel_rank
+            incl[j] = _integer_rank(bounds + za) - len(bounds)
+            quot[j] = _integer_rank(rel_bounds + zp) - rel_rank
+            conn[j] = _integer_rank(att_bd[j] + rel_bd[j]) - len(att_bd[j])
+            # composites through each group: incl after conn_(j+1) is zero
+            # when dZrel_(j+1) bounds in P_j, quot after incl when
+            # Z(A_j) lies in R_j; conn after quot is zero by construction,
+            # since the absolute cycles have no boundary
+            above = rel_bd.get(j + 1, [])
+            composite[j, "attached"] = (
+                _integer_rank(bounds + above) == len(bounds))
+            composite[j, "absolute"] = (
+                _integer_rank(rel_bounds + za) == rel_rank)
+            composite[j, "relative"] = True
+        nodes = []
         for j in reversed(degrees):
-            incoming = self.conn.get(j + 1, empty)
-            out.append(self._node(j, "attached", self.attached_h[j].dim,
-                                  incoming, self.incl[j]))
-            out.append(self._node(j, "absolute", self.absolute_h[j].dim,
-                                  self.incl[j], self.quot[j]))
-            out.append(self._node(j, "relative", self.relative_h[j].dim,
-                                  self.quot[j], self.conn[j]))
-        return out
-
-    def _node(self, degree: int, space: str, dim: int,
-              incoming: List[List[Fraction]],
-              outgoing: List[List[Fraction]]) -> LesNode:
-        out_dim = len(outgoing[0]) if outgoing else 0
-        composite_zero = all(
-            not any(_apply(outgoing, col, out_dim)) for col in incoming)
-        rank_in = _matrix_rank(incoming)
-        rank_out = _matrix_rank(outgoing)
-        ok = composite_zero and (rank_in + rank_out == dim)
-        return LesNode(degree, space, dim, rank_in, rank_out, ok)
+            for space, rank_in, rank_out in (
+                    ("attached", conn.get(j + 1, 0), incl[j]),
+                    ("absolute", incl[j], quot[j]),
+                    ("relative", quot[j], conn[j])):
+                dim = dims[space][j]
+                nodes.append(LesNode(
+                    j, space, dim, rank_in, rank_out,
+                    composite[j, space] and rank_in + rank_out == dim))
+        return dims, nodes
 
 
 def relative_vanishing(c: CellComplex, a: RateAnnotation, sub: CellSet,
@@ -470,12 +482,9 @@ def relative_vanishing(c: CellComplex, a: RateAnnotation, sub: CellSet,
     sub = frozenset(sub)
     if not c.is_face_closed(sub):
         raise NotFaceClosed("subcomplex is not closed under faces")
-    comp = _PairComputation(c, a, sub, v)
-    nodes = comp.nodes()
-    return PairReport(velocity=v,
-                      absolute=comp.dims(comp.absolute_h),
-                      relative=comp.chains.relative_dims(),
-                      attached=comp.dims(comp.attached_h),
+    dims, nodes = _Pair(c, a, sub, v).les()
+    return PairReport(velocity=v, absolute=dims["absolute"],
+                      relative=dims["relative"], attached=dims["attached"],
                       exact=all(n.ok for n in nodes))
 
 
@@ -489,8 +498,7 @@ def les_check(c: CellComplex, a: RateAnnotation, sub: CellSet,
     sub = frozenset(sub)
     if not c.is_face_closed(sub):
         raise NotFaceClosed("subcomplex is not closed under faces")
-    comp = _PairComputation(c, a, sub, v)
-    nodes = comp.nodes()
+    _, nodes = _Pair(c, a, sub, v).les()
     return LesReport(velocity=v, nodes=nodes,
                      exact=all(n.ok for n in nodes))
 
@@ -531,11 +539,11 @@ def excision_check(c: CellComplex, a: RateAnnotation, sub: CellSet,
         if any(face in cut for _, face in cell.boundary):
             raise InvalidExcision(
                 f"cell {cell.id} is outside the cut but has a face in it")
-    full = relative_vanishing(c, a, sub, v)
+    full = _Pair(c, a, sub, v).relative_dims()
     rest = c.restrict(c.cell_ids() - cut)
-    excised = relative_vanishing(rest, a, sub - cut, v)
+    excised = _Pair(rest, a, sub - cut, v).relative_dims()
     degrees = range(max(c.dim, 0) + 1)
-    full_dims = {j: full.relative.get(j, 0) for j in degrees}
-    excised_dims = {j: excised.relative.get(j, 0) for j in degrees}
+    full_dims = {j: full.get(j, 0) for j in degrees}
+    excised_dims = {j: excised.get(j, 0) for j in degrees}
     return ExcisionReport(velocity=v, full=full_dims, excised=excised_dims,
                           equal=full_dims == excised_dims)

@@ -2,10 +2,14 @@
 
 import itertools
 from fractions import Fraction
+from typing import Dict, List
 
-from vanhom import (INF, Cell, CellComplex, CellSet, GeometricComplex,
-                    IndeterminateAtPrecision, SimplicialBuilder, Subspace,
-                    build_torus, chain_boundary, constant, series, t_power)
+from vanhom import (INF, Cell, CellComplex, CellSet, ChainSubspaceComplex,
+                    ExcisionReport, GeometricComplex, IndeterminateAtPrecision,
+                    LesNode, LesReport, PairReport, SimplicialBuilder,
+                    Subspace, build_torus, chain_boundary, constant, is_thin,
+                    rank_of, restrict_chain, series, t_power, unit_chains)
+from vanhom.homology import Chain, _add_scaled, _Eliminator
 
 RATE_CHOICES = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
 
@@ -90,17 +94,9 @@ def random_subcomplex(rng, c: CellComplex, bias=0.45) -> CellSet:
     return c.face_closure(seed)
 
 
-def random_cut(rng, c: CellComplex, sub: CellSet):
-    """A random removable set inside sub, or None if the draw fails.
-
-    Grown as the coface closure of one seed cell; rejected when it leaks
-    out of the subcomplex.
-    """
-    inside = sorted(sub)
-    if not inside:
-        return None
-    seed = rng.choice(inside)
-    cut = {seed}
+def coface_closure(c: CellComplex, seed) -> CellSet:
+    """The seed cells and every cell having a face among them, repeatedly."""
+    cut = set(seed)
     changed = True
     while changed:
         changed = False
@@ -110,7 +106,19 @@ def random_cut(rng, c: CellComplex, sub: CellSet):
             if any(face in cut for _, face in cell.boundary):
                 cut.add(cell.id)
                 changed = True
-    cut = frozenset(cut)
+    return frozenset(cut)
+
+
+def random_cut(rng, c: CellComplex, sub: CellSet):
+    """A random removable set inside sub, or None if the draw fails.
+
+    Grown as the coface closure of one seed cell; rejected when it leaks
+    out of the subcomplex.
+    """
+    inside = sorted(sub)
+    if not inside:
+        return None
+    cut = coface_closure(c, [rng.choice(inside)])
     if not cut <= sub:
         return None
     return cut
@@ -281,3 +289,212 @@ def embedded_slab():
     return GeometricComplex(ambient_dim=3, vertices=verts,
                             simplices=sorted(simplices,
                                              key=lambda s: (len(s), s)))
+
+
+def torus_pair(n):
+    """build_torus(0, 2, n) with a meridian circle and a band around it.
+
+    The band is the closure of the triangles in square columns 0 and 1;
+    its cut (the band minus the meridians at columns 0 and 2) is
+    removable.  Returns (complex, rates, meridian, band, cut).
+    """
+    c, rates = build_torus(0, 2, n)
+
+    def column(prefix, col):
+        return [cell.id for cell in c.cells()
+                if cell.label.startswith(f"{prefix}({col},")]
+
+    meridian = frozenset(column("v", 0) + column("u", 0))
+    band = c.face_closure([cid for col in (0, 1) for prefix in ("t1", "t2")
+                           for cid in column(prefix, col)])
+    rim = meridian | frozenset(column("v", 2) + column("u", 2))
+    return c, rates, meridian, band, band - rim
+
+
+# -- reference pair route ------------------------------------------------
+#
+# The pair theory as chain subspaces over Fraction: intersections, map
+# kernels and preimages, and class coordinates solved against tracked
+# eliminations.  The library computes the same reports as integer ranks;
+# the two must agree report for report.
+
+
+def _ref_thin_ids(c, a, v, j):
+    return [cell.id for cell in c.cells_of_dim(j) if is_thin(c, a, cell.id, v)]
+
+
+class _RefPairChains:
+    """Chain subspaces for a pair, shared by the relative computations."""
+
+    def __init__(self, c, a, sub, v):
+        self.complex = c
+        self.sub = frozenset(sub)
+        d = max(c.dim, 0)
+        self.degrees = range(d + 1)
+        thin = {j: _ref_thin_ids(c, a, v, j) for j in range(d + 2)}
+        self.bnd_thin = {
+            j: [chain_boundary(c, u) for u in unit_chains(thin[j])]
+            for j in range(d + 2)}
+        # chains on thin cells whose boundary misses the thick cells
+        # outside the subcomplex
+        relfree = {}
+        for j in range(d + 2):
+            bad = frozenset(
+                cell.id for cell in c.cells_of_dim(j - 1)
+                if cell.id not in self.sub and not is_thin(c, a, cell.id, v))
+            space = Subspace(unit_chains(thin[j]))
+            relfree[j] = space.map_kernel(
+                lambda x, bad=bad: restrict_chain(chain_boundary(c, x), bad))
+        self.prime, self.attached, self.zrel, self.rel_bounds = {}, {}, {}, {}
+        for j in self.degrees:
+            self.prime[j] = Subspace(unit_chains(thin[j])
+                                     + self.bnd_thin[j + 1])
+        for j in self.degrees:
+            in_sub = [{cid: Fraction(1)} for cid in thin[j]
+                      if cid in self.sub]
+            projected = [restrict_chain(chain_boundary(c, b), self.sub)
+                         for b in relfree[j + 1].basis()]
+            self.attached[j] = Subspace(in_sub + projected)
+        for j in self.degrees:
+            target = self.attached.get(j - 1, Subspace())
+            self.zrel[j] = self.prime[j].map_preimage(
+                lambda x: chain_boundary(c, x), target)
+            self.rel_bounds[j] = (Subspace(self.bnd_thin[j + 1])
+                                  + self.attached[j])
+
+    def relative_dims(self):
+        out = {}
+        for j in self.degrees:
+            meet = self.rel_bounds[j].intersection(self.zrel[j])
+            out[j] = self.zrel[j].dim - meet.dim
+        return out
+
+
+class _RefHomologyCoords:
+    """Representatives and class coordinates for one homology degree."""
+
+    def __init__(self, bounds: Subspace, cycles: Subspace):
+        self._elim = _Eliminator(track=True)
+        self.rep_positions: List[int] = []
+        self.reps: List[Chain] = []
+        for vec in bounds.basis():
+            self._elim.add(vec)
+        for vec in cycles.basis():
+            position = self._elim.count
+            if self._elim.add(vec) is None:
+                self.rep_positions.append(position)
+                self.reps.append(vec)
+
+    @property
+    def dim(self):
+        return len(self.reps)
+
+    def coords(self, cycle):
+        vec, combo = dict(cycle), {}
+        for pivot, basis_vec, basis_combo in self._elim.rows:
+            coeff = vec.get(pivot)
+            if coeff:
+                vec = _add_scaled(vec, -coeff, basis_vec)
+                combo = _add_scaled(combo, coeff, basis_combo)
+        if vec:
+            raise AssertionError("chain does not represent a class here")
+        return [combo.get(p, Fraction(0)) for p in self.rep_positions]
+
+
+def _ref_matrix_rank(columns):
+    return rank_of({i: v for i, v in enumerate(col) if v} for col in columns)
+
+
+def _ref_apply(columns, vector, out_dim):
+    out = [Fraction(0)] * out_dim
+    for coeff, col in zip(vector, columns):
+        if coeff:
+            for i, v in enumerate(col):
+                out[i] += coeff * v
+    return out
+
+
+class _RefPairComputation:
+    """Everything about one pair at one velocity: dims, maps, exactness."""
+
+    def __init__(self, c, a, sub, v):
+        self.chains = pc = _RefPairChains(c, a, sub, v)
+        ChainSubspaceComplex(c, pc.prime).assert_boundary_closed()
+        ChainSubspaceComplex(c, pc.attached).assert_boundary_closed()
+
+        def bd(x):
+            return chain_boundary(c, x)
+
+        self.attached_h: Dict[int, _RefHomologyCoords] = {}
+        self.absolute_h: Dict[int, _RefHomologyCoords] = {}
+        self.relative_h: Dict[int, _RefHomologyCoords] = {}
+        for j in pc.degrees:
+            above = pc.attached.get(j + 1, Subspace())
+            self.attached_h[j] = _RefHomologyCoords(
+                Subspace(bd(vec) for vec in above.basis()),
+                pc.attached[j].map_kernel(bd))
+            self.absolute_h[j] = _RefHomologyCoords(
+                Subspace(pc.bnd_thin[j + 1]), pc.prime[j].map_kernel(bd))
+            self.relative_h[j] = _RefHomologyCoords(pc.rel_bounds[j],
+                                                    pc.zrel[j])
+        # maps of the long sequence, as columns of class coordinates
+        self.incl, self.quot, self.conn = {}, {}, {}
+        for j in pc.degrees:
+            self.incl[j] = [self.absolute_h[j].coords(rep)
+                            for rep in self.attached_h[j].reps]
+            self.quot[j] = [self.relative_h[j].coords(rep)
+                            for rep in self.absolute_h[j].reps]
+            if j >= 1:
+                self.conn[j] = [self.attached_h[j - 1].coords(bd(rep))
+                                for rep in self.relative_h[j].reps]
+            else:
+                self.conn[j] = [[] for _ in self.relative_h[j].reps]
+
+    def dims(self, table):
+        return {j: table[j].dim for j in self.chains.degrees}
+
+    def nodes(self):
+        out = []
+        for j in reversed(list(self.chains.degrees)):
+            incoming = self.conn.get(j + 1, [])
+            out.append(self._node(j, "attached", self.attached_h[j].dim,
+                                  incoming, self.incl[j]))
+            out.append(self._node(j, "absolute", self.absolute_h[j].dim,
+                                  self.incl[j], self.quot[j]))
+            out.append(self._node(j, "relative", self.relative_h[j].dim,
+                                  self.quot[j], self.conn[j]))
+        return out
+
+    def _node(self, degree, space, dim, incoming, outgoing):
+        out_dim = len(outgoing[0]) if outgoing else 0
+        composite_zero = all(
+            not any(_ref_apply(outgoing, col, out_dim)) for col in incoming)
+        rank_in = _ref_matrix_rank(incoming)
+        rank_out = _ref_matrix_rank(outgoing)
+        ok = composite_zero and (rank_in + rank_out == dim)
+        return LesNode(degree, space, dim, rank_in, rank_out, ok)
+
+
+def reference_pair(c, a, sub, v):
+    """relative_vanishing and les_check by chain subspaces and class
+    coordinates, from one computation: (PairReport, LesReport)."""
+    comp = _RefPairComputation(c, a, frozenset(sub), v)
+    nodes = comp.nodes()
+    exact = all(n.ok for n in nodes)
+    pair = PairReport(velocity=v, absolute=comp.dims(comp.absolute_h),
+                      relative=comp.chains.relative_dims(),
+                      attached=comp.dims(comp.attached_h), exact=exact)
+    return pair, LesReport(velocity=v, nodes=nodes, exact=exact)
+
+
+def reference_excision_check(c, a, sub, cut, v) -> ExcisionReport:
+    """excision_check by subspace intersection; the cut must be removable."""
+    sub, cut = frozenset(sub), frozenset(cut)
+    full = _RefPairChains(c, a, sub, v).relative_dims()
+    excised = _RefPairChains(c.restrict(c.cell_ids() - cut), a, sub - cut,
+                             v).relative_dims()
+    degrees = range(max(c.dim, 0) + 1)
+    full_dims = {j: full.get(j, 0) for j in degrees}
+    excised_dims = {j: excised.get(j, 0) for j in degrees}
+    return ExcisionReport(velocity=v, full=full_dims, excised=excised_dims,
+                          equal=full_dims == excised_dims)

@@ -2,6 +2,10 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -370,6 +374,21 @@ class TestInternalChecks:
         assert err == ("error: internal check failed: vanishing dimensions "
                        "vary inside a sweep interval\n")
 
+    def test_failed_pair_check_exits_4(self, pinched_doc, capsys,
+                                       monkeypatch):
+        failure = "degree-1 attached cycle is not an absolute cycle at T^2"
+        require = vanishing._require
+
+        def broken(part, space, space_rank, message):
+            if message == failure:
+                raise AssertionError(message)
+            require(part, space, space_rank, message)
+        monkeypatch.setattr(vanishing, "_require", broken)
+        code, out, err = run(capsys, "relative", pinched_doc, "--velocity",
+                             "T^2", "--subcomplex", "circle")
+        assert (code, out) == (4, "")
+        assert err == f"error: internal check failed: {failure}\n"
+
 
 class TestDeterminism:
     def test_compute_stdout_stable(self, torus_doc, capsys):
@@ -397,3 +416,48 @@ class TestDeterminism:
         again = document_dict(doc.complex, doc.rates,
                               subcomplexes=doc.subcomplexes, name=doc.name)
         assert dumps_document(again) == open(pinched_doc).read()
+
+
+class TestParserReuse:
+    # main() builds its parser once per process; a command must print the
+    # same whatever ran before it in that process, argparse errors included
+    SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from vanhom.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+    def run_in_process(self, commands):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    def test_sequence_matches_commands_run_alone(self, pinched_doc):
+        commands = [
+            ["compute", pinched_doc, "--velocity", "T^2"],
+            ["compute", pinched_doc],
+            ["relative", pinched_doc, "--velocity", "T^2",
+             "--subcomplex", "circle"],
+            ["compute", pinched_doc, "--velocity", "T^2"],
+        ]
+        together = self.run_in_process(commands)
+        alone = [self.run_in_process([argv])[0] for argv in commands]
+        assert together == alone
+        assert [code for code, _, _ in together] == [0, 2, 0, 0]
+        assert "--velocity" in together[1][2]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from vanhom import (NotFaceClosed, NotNested, RationalMatrix, Subspace, betti,
                     build_pinched_spheres, build_torus, chain_boundary,
                     cycle_space, filtration, image_betti, kernel_basis,
                     rank_of, unit_chains, Velocity)
+from vanhom.homology import _integer_reduce
 
 F = Fraction
 
@@ -114,6 +116,40 @@ class TestKernel:
                     for _ in range(rng.randint(1, 6))]
             vecs = [{k: v for k, v in vec.items() if v} for vec in vecs]
             assert rank_of(vecs) + len(kernel_basis(vecs)) == len(vecs)
+
+
+class TestIntegerReduce:
+    def random_columns(self, rng):
+        return [{k: v for k, v in ((rng.randint(0, 5), rng.randint(-3, 3))
+                                   for _ in range(rng.randint(0, 4))) if v}
+                for _ in range(rng.randint(1, 8))]
+
+    def test_against_rational_elimination(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            cols = self.random_columns(rng)
+            independent, kernels = _integer_reduce(cols, kernel=True)
+            assert len(independent) == rank_of(
+                {k: F(v) for k, v in col.items()} for col in cols)
+            assert rank_of({k: F(v) for k, v in cols[i].items()}
+                           for i in independent) == len(independent)
+            assert len(independent) + len(kernels) == len(cols)
+            assert independent == sorted(independent)
+            for combo in kernels:
+                assert all(type(v) is int and v for v in combo.values())
+                assert gcd(*combo.values()) == 1
+                total = {}
+                for idx, coeff in combo.items():
+                    for k, v in cols[idx].items():
+                        total[k] = total.get(k, 0) + coeff * v
+                assert not any(total.values())
+            # each combination holds a new index, so they are independent
+            assert len({max(combo) for combo in kernels}) == len(kernels)
+
+    def test_rank_only_returns_no_kernel(self):
+        cols = [{0: 2}, {0: 4}, {1: 1}]
+        assert _integer_reduce(cols) == ([0, 2], [])
+        assert _integer_reduce(cols, kernel=True) == ([0, 2], [{0: -2, 1: 1}])
 
 
 class TestSubspace:

@@ -1,5 +1,6 @@
 """Pairs: relative vanishing homology, the long exact sequence, excision."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -181,3 +182,79 @@ class TestExcision:
             assert rep.equal, (sorted(c.cell_ids()), sorted(sub),
                                sorted(cut), v)
             done += 1
+
+
+def assert_matches_reference(c, rates, sub, v, cut=None):
+    """The integer-rank pair layer reports what the subspace route does."""
+    pair, les = helpers.reference_pair(c, rates, sub, v)
+    assert relative_vanishing(c, rates, sub, v).as_dict() == pair.as_dict()
+    assert les_check(c, rates, sub, v).as_dict() == les.as_dict()
+    if cut is not None:
+        assert (excision_check(c, rates, sub, cut, v).as_dict()
+                == helpers.reference_excision_check(c, rates, sub, cut,
+                                                    v).as_dict())
+
+
+class TestReferenceEquivalence:
+    def test_random_triples(self):
+        rng = random.Random(318)
+        excised = 0
+        for i in range(300):
+            c, rates = helpers.random_complex(rng)
+            if i % 10 == 0:
+                sub = frozenset()
+            elif i % 10 == 1:
+                sub = c.cell_ids()
+            else:
+                sub = helpers.random_subcomplex(rng, c)
+            v = Velocity(F(rng.randint(0, 3), rng.choice([1, 2])),
+                         strict=i % 3 == 0)
+            cut = helpers.random_cut(rng, c, sub)
+            excised += cut is not None
+            assert_matches_reference(c, rates, sub, v, cut)
+        assert excised >= 50
+
+    def test_every_rate_on_non_unit_coefficients(self):
+        # RP^2 and the Klein bottle have boundary coefficient 2, which a
+        # slip into integer-torsion or mod-2 thinking would get wrong
+        velocities = [Velocity(F(0)), Velocity(F(1)), Velocity(F(2)),
+                      Velocity(F(2), strict=True)]
+        for build in (helpers.projective_plane, helpers.klein_bottle):
+            c = build()
+            ids = sorted(c.cell_ids())
+            subs = {c.face_closure(seed) for k in range(len(ids) + 1)
+                    for seed in itertools.combinations(ids, k)}
+            positive = [cid for cid in ids if c.cell(cid).dim > 0]
+            for choice in itertools.product((F(0), F(1), F(2)),
+                                            repeat=len(positive)):
+                rates = dict(zip(positive, choice))
+                for sub in subs:
+                    cuts = {helpers.coface_closure(c, [cid]) for cid in sub}
+                    cut = min((k for k in cuts if k <= sub), key=sorted,
+                              default=None)
+                    for v in velocities:
+                        assert_matches_reference(c, rates, sub, v, cut)
+
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_torus_pair(self, q):
+        c, rates, meridian, band, cut = helpers.torus_pair(6)
+        v = Velocity(F(q))
+        assert_matches_reference(c, rates, meridian, v)
+        assert_matches_reference(c, rates, band, v, cut)
+
+
+class TestLargerPairs:
+    def test_pinched_circle_leaves_nothing_relative(self):
+        c, rates, circle = build_pinched_spheres(2, 16)
+        rep = relative_vanishing(c, rates, circle, Velocity(F(2)))
+        assert rep.relative == {0: 0, 1: 0, 2: 0}
+        assert rep.exact
+
+    def test_torus_meridian_dims_do_not_depend_on_n(self):
+        reports = []
+        for n in (4, 6, 8):
+            c, rates, meridian, _, _ = helpers.torus_pair(n)
+            rep = relative_vanishing(c, rates, meridian, Velocity(F(0)))
+            assert rep.exact
+            reports.append(rep.as_dict())
+        assert reports[0] == reports[1] == reports[2]

@@ -137,6 +137,14 @@ class TestLargeComplexes:
         assert len(c) == 236 and c.dim == 3
         assert_engines_agree(c, rates)
 
+    def test_pinched_spheres_match_the_oracle(self):
+        c, rates, _ = build_pinched_spheres(2, 16)
+        assert len(c) == 290
+        for v in (Velocity(F(1)), Velocity(F(2)),
+                  Velocity(F(2), strict=True)):
+            assert (vanishing_betti(c, rates, v).dims
+                    == vanishing_betti_oracle(c, rates, v).dims), v
+
     def test_torus_closed_forms_do_not_depend_on_n(self):
         both, fast, none = ({0: 0, 1: 2, 2: 1}, {0: 0, 1: 1, 2: 1},
                             {0: 0, 1: 0, 2: 0})
