@@ -21,9 +21,8 @@ from .thinness import (DegenerateSimplex, Filtration, GeometricComplex,
                        MissingRate, RateAnnotation, annotate_geometric,
                        critical_rates, filtration, invariant_factor_valuations,
                        is_thin, rate_of, simplex_rate, simplex_rates)
-from .homology import (Chain, RationalMatrix, Subspace, betti, boundary_matrix,
-                       boundary_space, chain_boundary, cycle_space,
-                       image_betti, kernel_basis, rank, rank_of,
+from .homology import (Chain, Subspace, betti, boundary_space, chain_boundary,
+                       cycle_space, image_betti, kernel_basis, rank_of,
                        restrict_chain, unit_chains)
 from .vanishing import (ChainSubspaceComplex, ExcisionReport, InvalidExcision,
                         LesNode, LesReport, PairReport, SweepTable,

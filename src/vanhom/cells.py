@@ -252,14 +252,8 @@ class SimplicialBuilder:
             self.rates[cid] = rate
         return cid
 
-    def id_of(self, vertices: Iterable[int]) -> int:
-        return self._by_vertices[frozenset(vertices)]
-
     def complex(self) -> CellComplex:
         return CellComplex(self._cells)
-
-    def vertex_orders(self) -> Dict[int, Tuple[int, ...]]:
-        return dict(self._order)
 
 
 def vertex_support(c: CellComplex, cid: int) -> CellSet:

@@ -15,10 +15,10 @@ Subcommands work on vanhom-complex/1 JSON documents:
 Exit codes: 0 on success, 1 for invalid input (bad document, bad velocity,
 missing rates), 2 when series truncation leaves an answer undetermined,
 3 for precondition violations (sets that are not face-closed, nested, or
-removable), 4 when an internal consistency check fails (a sweep interval
-that is not constant, a chain space not closed under the boundary, a
-pair-theory class that is not a class of the next group); the message
-names the check and, for the pair theory, the degree and the velocity.
+removable), 4 when an internal consistency check fails (a chain space not
+closed under the boundary, a pair-theory class that is not a class of the
+next group); the message names the check and, for the pair theory, the
+degree and the velocity.
 Output is deterministic byte for byte.
 """
 
@@ -195,16 +195,25 @@ def _cmd_excise(args) -> int:
     return 0
 
 
+def _rational(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad {flag} {text!r}") from None
+
+
 def _cmd_example(args) -> int:
     if args.which == "circle":
-        c, rates = build_circle(args.n, Fraction(args.rate))
+        c, rates = build_circle(args.n, _rational(args.rate, "--rate"))
         doc = document_dict(c, rates, name=f"circle({args.rate},{args.n})")
     elif args.which == "torus":
-        c, rates = build_torus(Fraction(args.p), Fraction(args.q), args.n)
+        c, rates = build_torus(_rational(args.p, "--p"),
+                               _rational(args.q, "--q"), args.n)
         doc = document_dict(c, rates,
                             name=f"torus({args.p},{args.q},{args.n})")
     else:
-        c, rates, circle = build_pinched_spheres(Fraction(args.rate), args.n)
+        c, rates, circle = build_pinched_spheres(
+            _rational(args.rate, "--rate"), args.n)
         doc = document_dict(c, rates, subcomplexes={"circle": circle},
                             name=f"pinched_spheres({args.rate},{args.n})")
     text = dumps_document(doc)

@@ -6,13 +6,16 @@ Nothing here is a numerical estimate; there are two exact routes.
   coefficients are integers, so :func:`_integer_reduce` eliminates sparse
   integer columns fraction-free (gcd-normalised, after Bareiss 1968): it
   gives their rank over the rationals, the input columns that are
-  independent and, on request, primitive integer kernel combinations.
-  :func:`betti` (the ordinary Betti number of a face-closed cell set) and
-  :func:`image_betti` (the rank of the map induced on homology by
-  including one cell set into a larger one) are a cell count combined
-  with such ranks, and the pair theory in :mod:`vanhom.vanishing` holds
-  every space as an independent integer spanning set and reads every
-  dimension and check off such ranks.
+  independent with the row key of each one's pivot and, on request,
+  primitive integer kernel combinations.  :func:`betti` (the ordinary
+  Betti number of a face-closed cell set) and :func:`image_betti` (the
+  rank of the map induced on homology by including one cell set into a
+  larger one) are a cell count combined with such ranks.  The same ranks
+  between the levels of a filtration, at every cut, are counts of the
+  pivots of one level-ordered reduction per boundary matrix
+  (:func:`_pivot_levels`); the pair theory in :mod:`vanhom.vanishing`
+  holds every space as an independent integer spanning set and reads
+  every dimension and check off such ranks.
 
 * The oracle route works with chain subspaces: sparse chains with
   Fraction entries, kept as reduced echelon bases by :class:`Subspace`,
@@ -215,79 +218,6 @@ def unit_chains(ids: Iterable[int]) -> List[Chain]:
     return [{cid: Fraction(1)} for cid in sorted(ids)]
 
 
-# -- matrices ------------------------------------------------------------
-
-
-class RationalMatrix:
-    """A matrix over the rationals with explicit row and column keys."""
-
-    def __init__(self, rows: Sequence[int], cols: Sequence[int],
-                 entries: Dict[Tuple[int, int], Fraction]):
-        self.rows = tuple(rows)
-        self.cols = tuple(cols)
-        self.entries = {k: Fraction(v) for k, v in entries.items() if v != 0}
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (len(self.rows), len(self.cols))
-
-    def entry(self, row: int, col: int) -> Fraction:
-        return self.entries.get((row, col), Fraction(0))
-
-    def column(self, col: int) -> Chain:
-        return {r: v for (r, c), v in self.entries.items() if c == col}
-
-    def columns(self) -> List[Chain]:
-        out: Dict[int, Chain] = {c: {} for c in self.cols}
-        for (r, c), v in self.entries.items():
-            out[c][r] = v
-        return [out[c] for c in self.cols]
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows,
-                              {(c, r): v for (r, c), v in self.entries.items()})
-
-    def rank(self) -> int:
-        return rank_of(self.columns())
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalMatrix)
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
-
-
-def boundary_matrix(c: CellComplex, j: int,
-                    domain: Optional[CellSet] = None,
-                    codomain: Optional[CellSet] = None,
-                    project: bool = False) -> RationalMatrix:
-    """Degree-j boundary matrix, columns indexed by j-cells.
-
-    With ``project=True`` entries whose face falls outside the codomain are
-    dropped (the boundary followed by projection onto the codomain's
-    span); otherwise such an entry is an error.
-    """
-    domain = frozenset(domain) if domain is not None else c.cell_ids()
-    codomain = frozenset(codomain) if codomain is not None else c.cell_ids()
-    cols = [cid for cid in sorted(domain) if c.cell(cid).dim == j]
-    rows = [cid for cid in sorted(codomain) if c.cell(cid).dim == j - 1]
-    rowset = frozenset(rows)
-    entries: Dict[Tuple[int, int], Fraction] = {}
-    for cid in cols:
-        for k, face in c.cell(cid).boundary:
-            if face not in rowset:
-                if project:
-                    continue
-                raise NotFaceClosed(
-                    f"face {face} of cell {cid} is outside the codomain")
-            entries[(face, cid)] = (entries.get((face, cid), Fraction(0))
-                                    + Fraction(k))
-    return RationalMatrix(rows, cols, entries)
-
-
-def rank(m: RationalMatrix) -> int:
-    return m.rank()
-
-
 # -- Betti numbers -------------------------------------------------------
 
 
@@ -329,7 +259,7 @@ def _sub_scaled(a: int, col: IntColumn, b: int,
 
 
 def _integer_reduce(columns: Iterable[IntColumn], kernel: bool = False
-                    ) -> Tuple[List[int], List[IntColumn]]:
+                    ) -> Tuple[Dict[int, int], List[IntColumn]]:
     """Fraction-free elimination of sparse integer columns.
 
     After Bareiss (1968): a column is reduced at its lowest row key against
@@ -338,17 +268,20 @@ def _integer_reduce(columns: Iterable[IntColumn], kernel: bool = False
     so a column either runs out or lands on a free key and becomes the
     pivot there.  Integers only, no back-reduction.
 
-    Returns the indices of the input columns that became pivots (they are
-    independent and span what all the columns span; their count is the
-    rank over the rationals) and, with ``kernel=True``, one integer kernel
-    combination {input index: coefficient} per column that ran out.  The
-    combination rides along through the same steps, the gcd is divided out
-    of the column and the combination jointly, so every combination is
-    primitive; each holds its own column's index and earlier ones only, so
-    they are independent and span the kernel.
+    Returns {input index: pivot key} for the input columns that became
+    pivots, in input order (they are independent and span what all the
+    columns span; their count is the rank over the rationals) and, with
+    ``kernel=True``, one integer kernel combination {input index:
+    coefficient} per column that ran out.  The combination rides along
+    through the same steps, the gcd is divided out of the column and the
+    combination jointly, so every combination is primitive; each holds its
+    own column's index and earlier ones only, so they are independent and
+    span the kernel.  A column only takes in earlier ones, so the pivots
+    among the first k columns with keys below m count the rank of that
+    block.
     """
     pivots: Dict[int, Tuple[IntColumn, Optional[IntColumn]]] = {}
-    independent: List[int] = []
+    independent: Dict[int, int] = {}
     kernels: List[IntColumn] = []
     for index, col in enumerate(columns):
         combo = {index: 1} if kernel else None
@@ -356,7 +289,7 @@ def _integer_reduce(columns: Iterable[IntColumn], kernel: bool = False
             low = min(col)
             if low not in pivots:
                 pivots[low] = (col, combo)
-                independent.append(index)
+                independent[index] = low
                 break
             pivot, pivot_combo = pivots[low]
             g = gcd(pivot[low], col[low])
@@ -435,3 +368,54 @@ def image_betti(c: CellComplex, small: CellSet, big: CellSet, j: int) -> int:
                  for col in above]
     return (len(cells) - _integer_rank(_boundary_columns(c, cells))
             - _integer_rank(above) + _integer_rank(projected))
+
+
+# -- one reduction read at every cut -------------------------------------
+
+# the cells of each dimension as (level, id), ascending; the cut at level
+# t holds the cells of level t and above
+Graded = List[List[Tuple[int, int]]]
+
+
+def _pivot_levels(c: CellComplex, graded: Graded, j: int,
+                  cut: Optional[int] = None) -> List[Tuple[int, int]]:
+    """Reduce d_j once: the (column level, row level) of each pivot.
+
+    Columns run by descending level and row keys by ascending level, so at
+    any cut the columns in it and the rows below it are leading runs, and
+    the pivots inside such a block count its rank.  With a cut, only the
+    columns in it are reduced.  Every j-cell's faces must be (j-1)-cells.
+    """
+    keys = {cid: key for key, (_, cid) in enumerate(graded[j - 1])}
+    for _, cid in graded[j]:
+        if any(face not in keys for _, face in c.cell(cid).boundary):
+            raise NotFaceClosed(f"cell {cid} has a face that is not a "
+                                f"{j - 1}-cell")
+    cols = [(level, cid) for level, cid in reversed(graded[j])
+            if cut is None or level >= cut]
+    pivots, _ = _integer_reduce(
+        {keys[face]: k for face, k in col.items()}
+        for col in _boundary_columns(c, [cid for _, cid in cols]))
+    return [(cols[col][0], graded[j - 1][key][0])
+            for col, key in pivots.items()]
+
+
+def _image_dims(graded: Graded, pivots: Dict[int, List[Tuple[int, int]]],
+                cut: int) -> Dict[int, int]:
+    """Per degree j, the rank of the map induced on homology by including
+    level j of the filtration at the cut into level j+1.
+
+    That is image_betti's |T_j| - rank d_j|T_j - rank d_(j+1)|T_(j+1)
+    + rank(pi_K o d_(j+1)|T_(j+1)), with T the cells in the cut and K the
+    others; pivots[j] holds the pivot levels of d_j.
+    """
+    def ranks(j):  # rank d_j|T_j and the rank of its rows in K
+        thin = [row for col, row in pivots.get(j, ()) if col >= cut]
+        return len(thin), sum(1 for row in thin if row < cut)
+
+    dims = {}
+    for j, cells in enumerate(graded):
+        size = sum(1 for level, _ in cells if level >= cut)
+        (rank, _), (above, projected) = ranks(j), ranks(j + 1)
+        dims[j] = size - rank - above + projected
+    return dims

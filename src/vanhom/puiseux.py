@@ -113,9 +113,6 @@ class PuiseuxSeries:
 
     # -- queries ---------------------------------------------------------
 
-    def is_exact(self) -> bool:
-        return self.precision is INF
-
     def is_zero(self) -> bool:
         """Exactly zero (no terms, infinite precision)."""
         return not self.terms and self.precision is INF

@@ -4,10 +4,10 @@ The degree-j vanishing homology at a velocity counts cycles that can be
 carried on thin cells, up to boundaries of the ambient complex.  Two
 independent computations are provided:
 
-* the filtration route (:func:`vanishing_betti`): level j of the thinness
-  filtration keeps everything below dimension j plus the thin j-cells, and
-  the degree-j dimension is the rank of the map induced on ordinary
-  homology by including level j into level j+1;
+* the engine (:func:`vanishing_betti`, :func:`sweep`): the rank of the
+  map induced on ordinary homology by including level j of the thinness
+  filtration into level j+1, counted off the pivots of one reduction per
+  boundary matrix with its cells ordered by rate;
 
 * the chain route (:func:`vanishing_betti_oracle`): work inside the chain
   subspaces spanned by thin cells, closed up by one round of boundaries,
@@ -33,11 +33,12 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cells import CellComplex, CellSet, NotFaceClosed
-from .homology import (IntColumn, Subspace, _boundary_columns, _combine,
-                       _integer_rank, _integer_reduce, chain_boundary,
-                       image_betti, rank_of, restrict_chain, unit_chains)
-from .puiseux import Velocity
-from .thinness import RateAnnotation, critical_rates, filtration, is_thin
+from .homology import (Graded, IntColumn, Subspace, _boundary_columns,
+                       _combine, _image_dims, _integer_rank, _integer_reduce,
+                       _pivot_levels, chain_boundary, rank_of, restrict_chain,
+                       unit_chains)
+from .puiseux import INF, Velocity
+from .thinness import RateAnnotation, critical_rates, is_thin, rate_of
 
 
 class InvalidExcision(ValueError):
@@ -64,15 +65,29 @@ def _euler_from_dims(dims: Dict[int, int]) -> int:
     return sum((-1) ** j * dim for j, dim in dims.items() if j >= 1)
 
 
+def _graded(c: CellComplex, a: RateAnnotation, level) -> Graded:
+    """The cells of each dimension by level.
+
+    level maps a rate to an integer, in the order of the rates; vertices
+    get -1, below every cut.
+    """
+    graded: Graded = [[] for _ in range(max(c.dim, 0) + 1)]
+    for cell in c.cells():
+        graded[cell.dim].append(
+            (level(rate_of(c, a, cell.id)) if cell.dim else -1, cell.id))
+    return [sorted(cells) for cells in graded]
+
+
 def vanishing_betti(c: CellComplex, a: RateAnnotation,
                     v: Velocity) -> VanishingBettiTable:
-    """Vanishing homology dimensions via the thinness filtration."""
-    d = c.dim
-    if d < 0:
-        return VanishingBettiTable(v, {0: 0}, 0)
-    levels = filtration(c, a, v)
-    dims = {j: image_betti(c, levels.level(j), levels.level(j + 1), j)
-            for j in range(d + 1)}
+    """Vanishing homology dimensions at one cut.
+
+    Thin cells sit at level 1 and thick ones at 0; each boundary matrix is
+    reduced once, on its thin columns only.
+    """
+    graded = _graded(c, a, lambda rate: int(v.contains_rate(rate)))
+    dims = _image_dims(graded, {j: _pivot_levels(c, graded, j, 1)
+                                for j in range(1, len(graded))}, 1)
     return VanishingBettiTable(v, dims, _euler_from_dims(dims))
 
 
@@ -194,37 +209,25 @@ def sweep(c: CellComplex, a: RateAnnotation,
     """Evaluate the vanishing dimensions across all velocity thresholds.
 
     The dimensions can only change where the threshold crosses a rate that
-    is present, so each interval between consecutive rates is sampled once
-    at its right endpoint; interval interiors and the unbounded ends are
-    probed at extra points and checked for agreement.
+    is present.  Each boundary matrix is reduced once, on all its columns,
+    and each interval's value is a count of pivots at its right end; the
+    last interval is read at a cut above every finite rate.
     """
     bps = critical_rates(c, a)
+    # a cell's level is the position of its rate among the breakpoints, so
+    # the cut at breakpoint i is level i and the cut past them all, where
+    # only the INF cells are thin, is level len(bps)
+    index = {rate: i for i, rate in enumerate(bps)}
+    index[INF] = len(bps)
+    graded = _graded(c, a, index.__getitem__)
+    pivots = {j: _pivot_levels(c, graded, j) for j in range(1, len(graded))}
+    values = [_image_dims(graded, pivots, cut)
+              for cut in range(len(bps) + 1)]
     if degrees is None:
-        degrees = range(max(c.dim, 0) + 1)
-    degrees = list(degrees)
-
-    def table_at(threshold) -> Dict[int, int]:
-        t = vanishing_betti(c, a, Velocity(Fraction(threshold)))
-        return {j: t.dims.get(j, 0) for j in degrees}
-
-    if not bps:
-        flat = table_at(0)
-        return SweepTable((), {j: (flat[j],) for j in degrees})
-
-    values = [table_at(bp) for bp in bps]
-    values.append(table_at(bps[-1] + 1))
-    # probes that must agree with the value of their interval
-    probes = [(0, table_at(bps[0] - 1)),
-              (len(bps), table_at(bps[-1] + 2))]
-    for i in range(1, len(bps)):
-        mid = (bps[i - 1] + bps[i]) / 2
-        probes.append((i, table_at(mid)))
-    for idx, probe in probes:
-        if probe != values[idx]:
-            raise AssertionError(
-                "vanishing dimensions vary inside a sweep interval")
+        degrees = range(len(graded))
     return SweepTable(tuple(bps),
-                      {j: tuple(row[j] for row in values) for j in degrees})
+                      {j: tuple(row.get(j, 0) for row in values)
+                       for j in degrees})
 
 
 # -- pairs ---------------------------------------------------------------

@@ -1,6 +1,5 @@
 """End-to-end command line coverage, run in process through main()."""
 
-import itertools
 import json
 import os
 import subprocess
@@ -10,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import helpers
-from vanhom import (ChainSubspaceComplex, VanishingBettiTable,
-                    annotate_geometric, document_dict, dumps_document)
+from vanhom import (ChainSubspaceComplex, annotate_geometric, document_dict,
+                    dumps_document)
 from vanhom import vanishing
 from vanhom.cli import main
 
@@ -285,6 +284,14 @@ class TestErrors:
                          "--velocity", "banana")
         assert code == 1
 
+    @pytest.mark.parametrize("which, flag", [("torus", "--p"),
+                                             ("torus", "--q"),
+                                             ("circle", "--rate")])
+    def test_zero_denominator_in_an_example_rate(self, capsys, which, flag):
+        code, out, err = run(capsys, "example", which, flag, "1/0")
+        assert (code, out) == (1, "")
+        assert err == f"error: bad {flag} '1/0'\n"
+
     def test_load_failure_on_structurally_bad_document(self, tmp_path,
                                                        capsys):
         doc = {"format": TAG,
@@ -362,17 +369,6 @@ class TestInternalChecks:
         assert (code, out) == (4, "")
         assert err == ("error: internal check failed: degree-1 subspace "
                        "is not closed under the boundary\n")
-
-    def test_failed_sweep_probe_exits_4(self, torus_doc, capsys,
-                                        monkeypatch):
-        calls = itertools.count()
-        monkeypatch.setattr(
-            vanishing, "vanishing_betti",
-            lambda c, a, v: VanishingBettiTable(v, {0: next(calls)}, 0))
-        code, out, err = run(capsys, "sweep", torus_doc)
-        assert (code, out) == (4, "")
-        assert err == ("error: internal check failed: vanishing dimensions "
-                       "vary inside a sweep interval\n")
 
     def test_failed_pair_check_exits_4(self, pinched_doc, capsys,
                                        monkeypatch):

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from vanhom import (NotFaceClosed, NotNested, RationalMatrix, Subspace, betti,
-                    boundary_matrix, boundary_space, build_circle,
-                    build_pinched_spheres, build_torus, chain_boundary,
-                    cycle_space, filtration, image_betti, kernel_basis,
-                    rank_of, unit_chains, Velocity)
-from vanhom.homology import _integer_reduce
+from vanhom import (NotFaceClosed, NotNested, Subspace, betti, boundary_space,
+                    build_circle, build_pinched_spheres, build_torus,
+                    chain_boundary, cycle_space, filtration, image_betti,
+                    kernel_basis, rank_of, unit_chains, Velocity)
+from vanhom.homology import (_boundary_columns, _integer_rank,
+                             _integer_reduce)
 
 F = Fraction
 
@@ -23,75 +23,66 @@ def full(c):
     return c.cell_ids()
 
 
+def ids_of_dim(c, j):
+    return sorted(cell.id for cell in c.cells_of_dim(j))
+
+
 class TestBoundaryMatrix:
     def test_circle_columns(self):
         c, _ = build_circle(5, 0)
-        m = boundary_matrix(c, 1)
-        assert m.shape == (5, 5)
-        for col in m.columns():
-            values = sorted(col.values())
-            assert values == [F(-1), F(1)]
+        cols = _boundary_columns(c, ids_of_dim(c, 1))
+        assert len(cols) == 5
+        assert {face for col in cols for face in col} == set(ids_of_dim(c, 0))
+        for col in cols:
+            assert sorted(col.values()) == [-1, 1]
 
     def test_entries_match_cell_data(self):
         c, _ = build_torus(0, 2, 3)
-        m = boundary_matrix(c, 2)
-        for cell in c.cells_of_dim(2):
+        ids = ids_of_dim(c, 2)
+        for cid, col in zip(ids, _boundary_columns(c, ids)):
             expected = {}
-            for k, face in cell.boundary:
-                expected[face] = expected.get(face, F(0)) + F(k)
+            for k, face in c.cell(cid).boundary:
+                expected[face] = expected.get(face, 0) + k
             expected = {f: v for f, v in expected.items() if v}
-            assert m.column(cell.id) == expected
-
-    def test_projection_drops_outside_faces(self):
-        c, _ = build_circle(4, 0)
-        edges = sorted(cell.id for cell in c.cells_of_dim(1))
-        keep = frozenset(cell.id for cell in c.cells_of_dim(0)
-                         if cell.id != 0)
-        m = boundary_matrix(c, 1, codomain=keep, project=True)
-        strictly_smaller = [cid for cid in edges
-                            if len(m.column(cid)) == 1]
-        assert len(strictly_smaller) == 2
-
-    def test_without_projection_missing_face_raises(self):
-        c, _ = build_circle(4, 0)
-        keep = frozenset(cell.id for cell in c.cells_of_dim(0)
-                         if cell.id != 0)
-        with pytest.raises(NotFaceClosed):
-            boundary_matrix(c, 1, codomain=keep)
+            assert col == expected
 
     def test_empty_degree(self):
         c, _ = build_circle(3, 0)
-        m = boundary_matrix(c, 2)
-        assert m.shape == (3, 0)
-        assert m.rank() == 0
+        cols = _boundary_columns(c, ids_of_dim(c, 2))
+        assert cols == []
+        assert _integer_rank(cols) == 0
 
 
 class TestRank:
     def test_identity(self):
-        m = RationalMatrix([0, 1, 2], [0, 1, 2],
-                           {(i, i): F(1) for i in range(3)})
-        assert m.rank() == 3
+        cols = [{i: F(1)} for i in range(3)]
+        assert rank_of(cols) == 3
+        assert _integer_rank({i: 1} for i in range(3)) == 3
 
     def test_dependent_rows(self):
-        m = RationalMatrix([0, 1], [0, 1],
-                           {(0, 0): F(1), (0, 1): F(2),
-                            (1, 0): F(2), (1, 1): F(4)})
-        assert m.rank() == 1
+        cols = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]
+        assert rank_of(cols) == 1
+        assert _integer_rank([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 1
 
     def test_circle_boundary_rank(self):
         c, _ = build_circle(7, 0)
-        assert boundary_matrix(c, 1).rank() == 6
+        assert _integer_rank(_boundary_columns(c, ids_of_dim(c, 1))) == 6
 
     def test_rank_equals_transpose_rank(self):
         rng = random.Random(12)
         for _ in range(25):
             n, m = rng.randint(1, 5), rng.randint(1, 5)
-            entries = {(i, j): F(rng.randint(-3, 3))
+            entries = {(i, j): rng.randint(-3, 3)
                        for i in range(n) for j in range(m)
                        if rng.random() < 0.7}
             entries = {k: v for k, v in entries.items() if v}
-            mat = RationalMatrix(list(range(n)), list(range(m)), entries)
-            assert mat.rank() == mat.transpose().rank()
+            cols = [{i: v for (i, j), v in entries.items() if j == col}
+                    for col in range(m)]
+            rows = [{j: v for (i, j), v in entries.items() if i == row}
+                    for row in range(n)]
+            assert _integer_rank(cols) == _integer_rank(rows)
+            assert rank_of({k: F(v) for k, v in col.items()}
+                           for col in cols) == _integer_rank(cols)
 
 
 class TestKernel:
@@ -134,7 +125,11 @@ class TestIntegerReduce:
             assert rank_of({k: F(v) for k, v in cols[i].items()}
                            for i in independent) == len(independent)
             assert len(independent) + len(kernels) == len(cols)
-            assert independent == sorted(independent)
+            assert list(independent) == sorted(independent)
+            # elimination only cancels keys, so a pivot key is at or past
+            # its column's least key; no key holds two pivots
+            assert all(key >= min(cols[i]) for i, key in independent.items())
+            assert len(set(independent.values())) == len(independent)
             for combo in kernels:
                 assert all(type(v) is int and v for v in combo.values())
                 assert gcd(*combo.values()) == 1
@@ -148,8 +143,24 @@ class TestIntegerReduce:
 
     def test_rank_only_returns_no_kernel(self):
         cols = [{0: 2}, {0: 4}, {1: 1}]
-        assert _integer_reduce(cols) == ([0, 2], [])
-        assert _integer_reduce(cols, kernel=True) == ([0, 2], [{0: -2, 1: 1}])
+        assert _integer_reduce(cols) == ({0: 0, 2: 1}, [])
+        assert _integer_reduce(cols, kernel=True) == ({0: 0, 2: 1},
+                                                      [{0: -2, 1: 1}])
+
+    def test_pairing_lemma(self):
+        # the pivots inside every leading block of columns and row keys
+        # count the rank of that block
+        rng = random.Random(42)
+        for _ in range(150):
+            cols = self.random_columns(rng)
+            pivots, _ = _integer_reduce(cols)
+            for k in range(len(cols) + 1):
+                for m in range(7):
+                    block = [{r: F(v) for r, v in col.items() if r < m}
+                             for col in cols[:k]]
+                    inside = sum(1 for i, key in pivots.items()
+                                 if i < k and key < m)
+                    assert inside == rank_of(block), (cols, k, m)
 
 
 class TestSubspace:

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from vanhom import (CellComplex, Velocity, betti, build_circle,
-                    build_pinched_spheres, build_torus, critical_rates,
-                    disjoint_union, sweep, thin_chain_complex, vanishing_betti,
+from vanhom import (INF, Cell, CellComplex, NotFaceClosed, Velocity, betti,
+                    build_circle, build_pinched_spheres, build_torus,
+                    critical_rates, disjoint_union, filtration, image_betti,
+                    sweep, thin_chain_complex, vanishing_betti,
                     vanishing_betti_oracle, vanishing_euler)
 
 F = Fraction
@@ -278,6 +279,81 @@ class TestSweep:
                 direct = vanishing_betti(c, rates, Velocity(bp)).dims
                 for j in direct:
                     assert table.value(j, bp) == direct[j]
+
+
+def sweep_thresholds(bps):
+    """Every breakpoint, every interval midpoint and 1/2 beyond both ends."""
+    if not bps:
+        return [F(0)]
+    return ([bps[0] - F(1, 2), *bps, bps[-1] + F(1, 2)]
+            + [(lo + hi) / 2 for lo, hi in zip(bps, bps[1:])])
+
+
+def assert_sweep_matches_oracle(c, rates):
+    """The sweep's value agrees with the oracle at every sampled threshold.
+
+    Returns the number of (threshold, degree) values compared.
+    """
+    table = sweep(c, rates)
+    checked = 0
+    for q in sweep_thresholds(table.breakpoints):
+        oracle = vanishing_betti_oracle(c, rates, Velocity(q)).dims
+        for j in table.dims:
+            assert table.value(j, q) == oracle.get(j, 0), (q, j)
+            checked += 1
+    return checked
+
+
+class TestSweepAgainstOracle:
+    """The one-pass sweep, threshold by threshold, against the oracle."""
+
+    def test_random_complexes(self):
+        rng = random.Random(4242)
+        rates = (F(-1), F(0), F(1, 2), F(2), INF)
+        checked = sum(assert_sweep_matches_oracle(
+            *helpers.random_complex(rng, rates=rates)) for _ in range(100))
+        assert checked > 1000
+
+    def test_every_rate_assignment_of_the_non_unit_fixtures(self):
+        for build in (helpers.projective_plane, helpers.klein_bottle):
+            c = build()
+            ids = [cell.id for cell in c.cells() if cell.dim > 0]
+            for choice in itertools.product((F(0), F(1), F(2)),
+                                            repeat=len(ids)):
+                assert_sweep_matches_oracle(c, dict(zip(ids, choice)))
+
+    def test_random_rate_tori(self):
+        rng = random.Random(707)
+        for n in (4, 6, 8):
+            assert_sweep_matches_oracle(*helpers.random_rate_torus(rng, n))
+
+
+class TestFiltrationReference:
+    """The engine against image_betti on the thinness filtration levels."""
+
+    def test_random_complexes(self):
+        rng = random.Random(4343)
+        for _ in range(40):
+            c, rates = helpers.random_complex(rng)
+            v = random_velocity(rng)
+            levels = filtration(c, rates, v)
+            expected = {j: image_betti(c, levels.level(j),
+                                       levels.level(j + 1), j)
+                        for j in range(c.dim + 1)}
+            assert vanishing_betti(c, rates, v).dims == expected
+
+
+class TestMalformedComplex:
+    def test_face_that_is_not_a_cell_is_not_face_closed(self):
+        c = CellComplex([Cell(0, 0), Cell(1, 0),
+                         Cell(2, 1, ((-1, 0), (1, 9)))])
+        rates = {2: F(0)}
+        # the edge is thin at T^0 and thick at T^1; both are refused
+        for v in (Velocity(F(0)), Velocity(F(1))):
+            with pytest.raises(NotFaceClosed):
+                vanishing_betti(c, rates, v)
+        with pytest.raises(NotFaceClosed):
+            sweep(c, rates)
 
 
 class TestReportShape:
