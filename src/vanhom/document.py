@@ -14,6 +14,7 @@ rates as exact fraction strings.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -92,6 +93,10 @@ def _geometry_from_data(block, precision_cap) -> GeometricComplex:
     if not isinstance(vertices, dict):
         raise TypeError("vertices must map vertex ids to coordinates")
     for key, texts in vertices.items():
+        # only the canonical form, so no two keys name one vertex
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+            raise ValueError(
+                f"vertex key {key!r} is not a canonical decimal integer")
         if not (isinstance(texts, list) and len(texts) == ambient
                 and all(isinstance(text, str) for text in texts)):
             raise TypeError(
@@ -110,23 +115,26 @@ def _geometry_from_data(block, precision_cap) -> GeometricComplex:
 def _read_document(data, precision_cap):
     """Check a document and build what it describes, in one pass.
 
-    Returns (problems, complex, geometry, explicit rates).  The complex is
-    None when the cells are too malformed to build one; the geometry is
-    None when the document has none or it does not parse.
+    Returns (problems, open subcomplexes, complex, geometry, explicit
+    rates).  The open subcomplexes are the problems of subcomplexes that
+    are not closed under faces, kept apart from the others: the document
+    still loads with them.  The complex is None when the cells are too
+    malformed to build one; the geometry is None when the document has
+    none or it does not parse.
     """
     if not isinstance(data, dict):
-        return ["a document must be a JSON object"], None, None, {}
-    problems = []
+        return ["a document must be a JSON object"], [], None, None, {}
+    problems, unclosed = [], []
     if data.get("format") != FORMAT_TAG:
         problems.append(f"format tag must be {FORMAT_TAG!r}")
     if not isinstance(data.get("cells"), list):
         problems.append("missing cell list")
-        return problems, None, None, {}
+        return problems, [], None, None, {}
     try:
         c = _cells_from_data(data)
     except (KeyError, TypeError, ValueError) as exc:
         problems.append(f"malformed cells: {exc}")
-        return problems, None, None, {}
+        return problems, [], None, None, {}
     report = validate(c)
     problems.extend(report.problems)
 
@@ -179,8 +187,8 @@ def _read_document(data, precision_cap):
         if unknown:
             problems.append(f"subcomplex {name!r}: unknown cells {unknown}")
         elif not c.is_face_closed(frozenset(ids)):
-            problems.append(f"subcomplex {name!r} is not closed under faces")
-    return problems, c, geometry, rated
+            unclosed.append(f"subcomplex {name!r} is not closed under faces")
+    return problems, unclosed, c, geometry, rated
 
 
 def document_problems(data: dict, precision_cap=None) -> List[str]:
@@ -191,22 +199,22 @@ def document_problems(data: dict, precision_cap=None) -> List[str]:
     dimensions, boundary coefficients and ambient_dim must be JSON
     integers; a float or a boolean is a problem, never truncated.
     """
-    return _read_document(data, precision_cap)[0]
+    problems, unclosed, *_ = _read_document(data, precision_cap)
+    return problems + unclosed
 
 
 def load_document(data: dict, precision_cap=None) -> ComplexDocument:
     """Build the annotated complex a document describes.
 
-    Structural problems raise DocumentError (a subcomplex that is not
-    face-closed is only a warning here; using it downstream fails).  Rates
-    missing from the cells are derived from the geometry, in cell-id
-    order; deriving can raise IndeterminateAtPrecision or DegenerateSimplex
-    for the first cell that fails.
+    Structural problems raise DocumentError.  A subcomplex that is not
+    face-closed is not one: it loads as it is, and using it downstream
+    fails.  Rates missing from the cells are derived from the geometry, in
+    cell-id order; deriving can raise IndeterminateAtPrecision or
+    DegenerateSimplex for the first cell that fails.
     """
-    problems, c, geometry, rates = _read_document(data, precision_cap)
-    fatal = [p for p in problems if "closed under faces" not in p]
-    if fatal:
-        raise DocumentError("; ".join(fatal))
+    problems, _, c, geometry, rates = _read_document(data, precision_cap)
+    if problems:
+        raise DocumentError("; ".join(problems))
     warnings = [f"cell {cid}: explicit rate overrides geometry"
                 for cid in sorted(rates)] if geometry is not None else []
     derived = [cell.id for cell in c.cells()

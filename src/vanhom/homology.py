@@ -13,9 +13,11 @@ Nothing here is a numerical estimate; there are two exact routes.
   larger one) are a cell count combined with such ranks.  The same ranks
   between the levels of a filtration, at every cut, are counts of the
   pivots of one level-ordered reduction per boundary matrix
-  (:func:`_pivot_levels`); the pair theory in :mod:`vanhom.vanishing`
-  holds every space as an independent integer spanning set and reads
-  every dimension and check off such ranks.
+  (:func:`_pivot_levels`).  The pair theory in :mod:`vanhom.vanishing` is
+  the short exact sequence 0 -> A -> P -> Q -> 0 of chain complexes; one
+  such elimination per complex and degree gives the cycles (kernel
+  combinations) and the boundaries (independent images), and every
+  dimension, map rank and check is a rank of their integer chains.
 
 * The oracle route works with chain subspaces: sparse chains with
   Fraction entries, kept as reduced echelon bases by :class:`Subspace`,

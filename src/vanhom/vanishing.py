@@ -15,15 +15,18 @@ independent computations are provided:
 
 Both must agree everywhere; the test suite leans on that.
 
-The relative theory works with the counterparts of those chain spaces for
-a pair (complex, subcomplex A): thin chains that are attached to A, the
-relative cycle condition, and the induced long exact sequence connecting
-the attached, absolute and relative groups.  Excision drops a set W from
-the interior of A without changing the relative groups.  It runs on the
-integer kernel of :mod:`vanhom.homology`: each space is an independent
-set of integer chains, and every dimension, map rank and internal check
-is a rank of integer columns.  Only the oracle side (the chain-subspace
-complexes and :func:`vanishing_betti_oracle`) uses :class:`Subspace`.
+The relative theory of a pair (complex, subcomplex S) is the short exact
+sequence of chain complexes 0 -> A -> P -> Q -> 0.  P is the thin chain
+complex of the chain route, A = P meet C(S) its chains on S (the attached
+complex), and Q = pi(P) its projection onto the cells outside S (the
+relative complex, with boundary pi o d).  The attached, absolute and
+relative groups are the homology of A, P and Q, and the long exact
+sequence connects them.  Excision drops a set W from the interior of S
+without changing the relative groups.  It runs on the integer kernel of
+:mod:`vanhom.homology`: each space is an independent set of integer
+chains, and every dimension, map rank and internal check is a rank of
+integer columns.  Only the oracle side (the chain-subspace complexes and
+:func:`vanishing_betti_oracle`) uses :class:`Subspace`.
 """
 
 from __future__ import annotations
@@ -289,10 +292,9 @@ def attached_chain_complex(c: CellComplex, a: RateAnnotation, sub: CellSet,
                            v: Velocity) -> ChainSubspaceComplex:
     """Thin chains attached to a subcomplex.
 
-    Degree j holds the thin j-cells lying in the subcomplex, plus the
-    subcomplex-projected boundaries of thin (j+1)-chains whose boundary
-    already vanishes on every thick j-cell outside the subcomplex.  This is
-    the piece of the ambient thin complex that the pair quotients away.
+    Degree j holds the chains of the ambient thin complex (thin j-chains
+    plus boundaries of thin (j+1)-chains) that lie in the subcomplex.  This
+    is the piece of the ambient thin complex that the pair quotients away.
     """
     sub = frozenset(sub)
     if not c.is_face_closed(sub):
@@ -308,16 +310,13 @@ def _independent(columns: List[IntColumn]) -> List[IntColumn]:
     return [columns[i] for i in independent]
 
 
-def _kernel(basis: List[IntColumn],
-            images: List[IntColumn]) -> List[IntColumn]:
-    """The basis combinations whose images vanish, as independent chains.
-
-    Images past the end of the basis only take part in the relations, so
-    with them the result spans the part of the basis span that the map
-    sends into their span.
-    """
-    _, combos = _integer_reduce(images, kernel=True)
-    return _combine(basis, combos)
+def _image_and_kernel(basis: List[IntColumn], images: List[IntColumn]
+                      ) -> Tuple[List[IntColumn], List[IntColumn]]:
+    """A linear map given by the images of an independent basis: an
+    independent subset of the images (spanning the map's image) and the
+    independent basis combinations whose images vanish (its kernel)."""
+    independent, combos = _integer_reduce(images, kernel=True)
+    return [images[i] for i in independent], _combine(basis, combos)
 
 
 def _require(part: List[IntColumn], space: List[IntColumn], space_rank: int,
@@ -331,147 +330,128 @@ def _require(part: List[IntColumn], space: List[IntColumn], space_rank: int,
 
 
 class _Pair:
-    """One pair (complex, subcomplex) at one velocity, as integer ranks.
+    """One pair (complex, subcomplex S) at one velocity, as integer ranks.
 
-    Each space is held as an independent integer spanning set, per degree j:
+    The pair is the short exact sequence of chain complexes
+    0 -> A -> P -> Q -> 0, with pi the projection onto the cells outside
+    S.  Per degree j:
 
-    * prime: P_j, the thin j-chains plus the boundaries of thin
+    * absolute: P_j, the thin j-chains plus the boundaries of thin
       (j+1)-chains;
-    * bounds: B_j, the boundaries of thin (j+1)-chains;
-    * attached: A_j, the thin j-chains in the subcomplex plus the
-      subcomplex part of the boundary of each thin (j+1)-chain whose
-      boundary misses the thick j-cells outside the subcomplex;
-    * zrel: the relative cycles {x in P_j : dx in A_(j-1)}, an integer
-      kernel of [dP_j | A_(j-1)].
+    * attached: A_j, the chains of P_j in S, the kernel of pi on P_j;
+    * relative: Q_j = pi(P_j), with boundary pi o d.  Q is P/A, and pi
+      commutes with d because the chains on S form a subcomplex.
 
-    The relative boundaries are R_j = B_j + A_j.  Every dimension, every
-    map rank of the long exact sequence and every check is a rank of a
-    union of such sets; a check that fails raises AssertionError naming
-    the check, the degree and the velocity.
+    Each space is held as an independent integer spanning set.  One loop
+    takes the cycles Z_j and boundaries B_j of all three complexes, and each
+    group's dimension is |Z_j| - |B_j|.  Every map rank of the long exact
+    sequence and every check is a rank of a union of such sets; a check
+    that fails raises AssertionError naming the check, the degree and the
+    velocity.
     """
 
     def __init__(self, c: CellComplex, a: RateAnnotation, sub: CellSet,
                  v: Velocity):
-        self.complex = c
         self.velocity = v
+        self.outside = c.cell_ids() - sub
         d = max(c.dim, 0)
         self.degrees = range(d + 1)
         thin = {j: _thin_ids(c, a, v, j) for j in range(d + 2)}
-        self.prime: Dict[int, List[IntColumn]] = {}
-        self.bounds: Dict[int, List[IntColumn]] = {}
-        self.attached: Dict[int, List[IntColumn]] = {}
-        self.zrel: Dict[int, List[IntColumn]] = {}
+        prime, attached, quotient = {}, {}, {}
         for j in self.degrees:
-            units = [{cid: 1} for cid in thin[j]]
-            above = _boundary_columns(c, thin[j + 1])
-            self.bounds[j] = _independent(above)
-            self.prime[j] = _independent(units + self.bounds[j])
-            thin_here = frozenset(thin[j])
-            bad = frozenset(cell.id for cell in c.cells_of_dim(j)
-                            if cell.id not in sub
-                            and cell.id not in thin_here)
-            free = _kernel(above, [restrict_chain(col, bad) for col in above])
-            self.attached[j] = _independent(
-                [{cid: 1} for cid in thin[j] if cid in sub]
-                + [restrict_chain(col, sub) for col in free])
+            prime[j] = _independent([{cid: 1} for cid in thin[j]]
+                                    + _boundary_columns(c, thin[j + 1]))
+            quotient[j], attached[j] = _image_and_kernel(
+                prime[j], [self.project(x) for x in prime[j]])
+        self.attached = attached
+
+        def boundary(x):
+            return chain_boundary(c, x)
+
+        def relative_boundary(x):
+            return self.project(chain_boundary(c, x))
+
+        self.cycles: Dict[str, Dict[int, List[IntColumn]]] = {}
+        self.bounds: Dict[str, Dict[int, List[IntColumn]]] = {}
+        self.dims: Dict[str, Dict[int, int]] = {}
+        for name, spaces, bd in (("absolute", prime, boundary),
+                                 ("attached", attached, boundary),
+                                 ("relative", quotient, relative_boundary)):
+            cycles, bounds = {}, {}
+            for j in self.degrees:
+                bounds[j - 1], cycles[j] = _image_and_kernel(
+                    spaces[j], [bd(x) for x in spaces[j]])
+                if j:
+                    self._check(bounds[j - 1], spaces[j - 1],
+                                f"{name} chains are not closed under the "
+                                f"boundary", j)
+            bounds[d] = []
+            self.cycles[name], self.bounds[name] = cycles, bounds
+            self.dims[name] = {j: len(cycles[j]) - len(bounds[j])
+                               for j in self.degrees}
         for j in self.degrees:
-            images = [chain_boundary(c, x) for x in self.prime[j]]
-            self.zrel[j] = _kernel(self.prime[j],
-                                   images + self.attached.get(j - 1, []))
+            self._check(self.bounds["relative"][j],
+                        self.cycles["relative"][j],
+                        "relative boundary is not a relative cycle", j)
 
-    def _failure(self, what: str, j: int) -> str:
-        return f"degree-{j} {what} at {self.velocity}"
+    def project(self, x: IntColumn) -> IntColumn:
+        return restrict_chain(x, self.outside)
 
-    def _check_closed(self):
-        """The boundary maps P_j into P_(j-1) and A_j into A_(j-1)."""
-        for name, spaces in (("absolute", self.prime),
-                             ("attached", self.attached)):
-            for j in self.degrees[1:]:
-                below = spaces[j - 1]
-                _require([chain_boundary(self.complex, x) for x in spaces[j]],
-                         below, len(below), self._failure(
-                             f"{name} chains are not closed under the "
-                             f"boundary", j))
+    def _check(self, part: List[IntColumn], space: List[IntColumn],
+               what: str, j: int):
+        _require(part, space, len(space),
+                 f"degree-{j} {what} at {self.velocity}")
 
-    def _relative_bounds(self, j: int) -> Tuple[List[IntColumn], int]:
-        """R_j as a spanning set, and its rank, checked to lie in Zrel_j."""
-        rel_bounds = self.bounds[j] + self.attached[j]
-        _require(rel_bounds, self.zrel[j], len(self.zrel[j]),
-                 self._failure("relative boundary is not a relative cycle",
-                               j))
-        return rel_bounds, _integer_rank(rel_bounds)
+    def les(self) -> List[LesNode]:
+        """The long exact sequence's nodes, each checked for exactness.
 
-    def relative_dims(self) -> Dict[int, int]:
-        """dim Zrel_j - rank R_j per degree."""
-        self._check_closed()
-        return {j: len(self.zrel[j]) - self._relative_bounds(j)[1]
-                for j in self.degrees}
-
-    def les(self) -> Tuple[Dict[str, Dict[int, int]], List[LesNode]]:
-        """The three dimension tables and the long exact sequence's nodes.
-
-        The groups in degree j are Z(A_j)/dA_(j+1), Z(P_j)/B_j and
-        Zrel_j/R_j.  A map's rank is the rank its images add to the
-        target's boundaries: incl_j through Z(A_j) over B_j, quot_j through
-        Z(P_j) over R_j, conn_j through dZrel_j over dA_j.
+        H_j(A) -> H_j(P) -> H_j(Q) -> H_(j-1)(A).  A map's rank is the rank
+        its images add to the target's boundaries: incl_j through Z(A_j)
+        over B(P_j), quot_j through pi Z(P_j) over B(Q_j), conn_j through
+        L_(j-1) over B(A_(j-1)), where L_j, the boundaries in P_j that pi
+        kills, are the boundaries of lifts of relative cycles.
         """
-        self._check_closed()
-        c, degrees = self.complex, self.degrees
-
-        def bd(vectors):
-            return [chain_boundary(c, x) for x in vectors]
-
-        abs_cycles, att_cycles, att_bd, rel_bd = {}, {}, {}, {}
-        for j in degrees:
-            abs_cycles[j] = _kernel(self.prime[j], bd(self.prime[j]))
-            images = bd(self.attached[j])
-            independent, combos = _integer_reduce(images, kernel=True)
-            att_cycles[j] = _combine(self.attached[j], combos)
-            att_bd[j] = [images[i] for i in independent]
-            rel_bd[j] = bd(self.zrel[j])
-        dims: Dict[str, Dict[int, int]] = {
-            "attached": {}, "absolute": {}, "relative": {}}
+        za, zp, zq = (self.cycles[name]
+                      for name in ("attached", "absolute", "relative"))
+        ba, bp, bq = (self.bounds[name]
+                      for name in ("attached", "absolute", "relative"))
+        lifts = {-1: []}
         incl, quot, conn, composite = {}, {}, {}, {}
-        for j in degrees:
-            bounds, zrel = self.bounds[j], self.zrel[j]
-            za, zp = att_cycles[j], abs_cycles[j]
-            rel_bounds, rel_rank = self._relative_bounds(j)
+        for j in self.degrees:
+            _, lifts[j] = _image_and_kernel(
+                bp[j], [self.project(x) for x in bp[j]])
+            zp_projected = [self.project(x) for x in zp[j]]
             # each class of one group must be a class of the next
-            _require(za, zp, len(zp), self._failure(
-                "attached cycle is not an absolute cycle", j))
-            _require(zp, zrel, len(zrel), self._failure(
-                "absolute cycle is not a relative cycle", j))
-            below = att_cycles.get(j - 1, [])
-            _require(rel_bd[j], below, len(below), self._failure(
-                "relative cycle has a boundary that is not an attached "
-                "cycle", j))
-            dims["attached"][j] = len(za) - len(att_bd.get(j + 1, []))
-            dims["absolute"][j] = len(zp) - len(bounds)
-            dims["relative"][j] = len(zrel) - rel_rank
-            incl[j] = _integer_rank(bounds + za) - len(bounds)
-            quot[j] = _integer_rank(rel_bounds + zp) - rel_rank
-            conn[j] = _integer_rank(att_bd[j] + rel_bd[j]) - len(att_bd[j])
+            self._check(za[j], zp[j],
+                        "attached cycle is not an absolute cycle", j)
+            self._check(zp_projected, zq[j],
+                        "absolute cycle is not a relative cycle", j)
+            self._check(lifts[j - 1], za.get(j - 1, []),
+                        "relative cycle has a boundary that is not an "
+                        "attached cycle", j)
+            incl[j] = _integer_rank(bp[j] + za[j]) - len(bp[j])
+            quot[j] = _integer_rank(bq[j] + zp_projected) - len(bq[j])
+            conn[j] = _integer_rank(ba[j - 1] + lifts[j - 1]) - len(ba[j - 1])
             # composites through each group: incl after conn_(j+1) is zero
-            # when dZrel_(j+1) bounds in P_j, quot after incl when
-            # Z(A_j) lies in R_j; conn after quot is zero by construction,
-            # since the absolute cycles have no boundary
-            above = rel_bd.get(j + 1, [])
+            # when L_j bounds in P_j, quot after incl when pi Z(A_j) bounds
+            # in Q_j; conn after quot is zero by construction, since the
+            # absolute cycles have no boundary
             composite[j, "attached"] = (
-                _integer_rank(bounds + above) == len(bounds))
-            composite[j, "absolute"] = (
-                _integer_rank(rel_bounds + za) == rel_rank)
+                _integer_rank(bp[j] + lifts[j]) == len(bp[j]))
+            composite[j, "absolute"] = (_integer_rank(
+                bq[j] + [self.project(x) for x in za[j]]) == len(bq[j]))
             composite[j, "relative"] = True
         nodes = []
-        for j in reversed(degrees):
+        for j in reversed(self.degrees):
             for space, rank_in, rank_out in (
                     ("attached", conn.get(j + 1, 0), incl[j]),
                     ("absolute", incl[j], quot[j]),
                     ("relative", quot[j], conn[j])):
-                dim = dims[space][j]
+                dim = self.dims[space][j]
                 nodes.append(LesNode(
                     j, space, dim, rank_in, rank_out,
                     composite[j, space] and rank_in + rank_out == dim))
-        return dims, nodes
+        return nodes
 
 
 def relative_vanishing(c: CellComplex, a: RateAnnotation, sub: CellSet,
@@ -485,9 +465,11 @@ def relative_vanishing(c: CellComplex, a: RateAnnotation, sub: CellSet,
     sub = frozenset(sub)
     if not c.is_face_closed(sub):
         raise NotFaceClosed("subcomplex is not closed under faces")
-    dims, nodes = _Pair(c, a, sub, v).les()
-    return PairReport(velocity=v, absolute=dims["absolute"],
-                      relative=dims["relative"], attached=dims["attached"],
+    pair = _Pair(c, a, sub, v)
+    nodes = pair.les()
+    return PairReport(velocity=v, absolute=pair.dims["absolute"],
+                      relative=pair.dims["relative"],
+                      attached=pair.dims["attached"],
                       exact=all(n.ok for n in nodes))
 
 
@@ -501,7 +483,7 @@ def les_check(c: CellComplex, a: RateAnnotation, sub: CellSet,
     sub = frozenset(sub)
     if not c.is_face_closed(sub):
         raise NotFaceClosed("subcomplex is not closed under faces")
-    _, nodes = _Pair(c, a, sub, v).les()
+    nodes = _Pair(c, a, sub, v).les()
     return LesReport(velocity=v, nodes=nodes,
                      exact=all(n.ok for n in nodes))
 
@@ -542,9 +524,9 @@ def excision_check(c: CellComplex, a: RateAnnotation, sub: CellSet,
         if any(face in cut for _, face in cell.boundary):
             raise InvalidExcision(
                 f"cell {cell.id} is outside the cut but has a face in it")
-    full = _Pair(c, a, sub, v).relative_dims()
+    full = _Pair(c, a, sub, v).dims["relative"]
     rest = c.restrict(c.cell_ids() - cut)
-    excised = _Pair(rest, a, sub - cut, v).relative_dims()
+    excised = _Pair(rest, a, sub - cut, v).dims["relative"]
     degrees = range(max(c.dim, 0) + 1)
     full_dims = {j: full.get(j, 0) for j in degrees}
     excised_dims = {j: excised.get(j, 0) for j in degrees}

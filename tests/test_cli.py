@@ -339,6 +339,31 @@ class TestMalformedDocuments:
                      "cells": [{"id": 0, "dim": 0, "boundary": []}],
                      "subcomplexes": {"a": [0.0]}}),
          "subcomplex 'a' must list cell ids"),
+        # text a user chose never makes a problem look like the one that
+        # does not stop loading, a subcomplex not closed under faces
+        (json.dumps({"format": TAG, "cells": [
+            {"id": "closed under faces", "dim": 0, "boundary": []}]}),
+         "cell id must be an integer, got 'closed under faces'"),
+        (json.dumps({"format": TAG,
+                     "cells": [{"id": 0, "dim": 0, "boundary": []}],
+                     "subcomplexes": {"closed under faces": 7}}),
+         "subcomplex 'closed under faces' must list cell ids"),
+        (json.dumps({"format": TAG,
+                     "cells": [{"id": 0, "dim": 0, "boundary": []}],
+                     "subcomplexes": {"closed under faces": [9]}}),
+         "subcomplex 'closed under faces': unknown cells [9]"),
+        # a vertex key must be the canonical decimal form of its id, or
+        # "1" and "01" would both name vertex 1 and one would be dropped
+        (json.dumps(edge_doc() | {"geometry": {
+            "ambient_dim": 1,
+            "vertices": {"0": ["0"], "1": ["T^2"], "01": ["0"]}}}),
+         "vertex key '01' is not a canonical decimal integer"),
+        (json.dumps(edge_doc() | {"geometry": {
+            "ambient_dim": 1, "vertices": {"0": ["0"], " 1": ["T^2"]}}}),
+         "vertex key ' 1' is not a canonical decimal integer"),
+        (json.dumps(edge_doc() | {"geometry": {
+            "ambient_dim": 1, "vertices": {"0": ["0"], "1_0": ["T^2"]}}}),
+         "vertex key '1_0' is not a canonical decimal integer"),
     ]
 
     @pytest.mark.parametrize("text, problem", CASES)
@@ -370,9 +395,17 @@ class TestInternalChecks:
         assert err == ("error: internal check failed: degree-1 subspace "
                        "is not closed under the boundary\n")
 
+    @pytest.mark.parametrize("check", [
+        "absolute chains are not closed under the boundary",
+        "attached chains are not closed under the boundary",
+        "relative chains are not closed under the boundary",
+        "relative boundary is not a relative cycle",
+        "attached cycle is not an absolute cycle",
+        "absolute cycle is not a relative cycle",
+        "relative cycle has a boundary that is not an attached cycle"])
     def test_failed_pair_check_exits_4(self, pinched_doc, capsys,
-                                       monkeypatch):
-        failure = "degree-1 attached cycle is not an absolute cycle at T^2"
+                                       monkeypatch, check):
+        failure = f"degree-1 {check} at T^2"
         require = vanishing._require
 
         def broken(part, space, space_rank, message):

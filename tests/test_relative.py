@@ -258,3 +258,17 @@ class TestLargerPairs:
             assert rep.exact
             reports.append(rep.as_dict())
         assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("q, relative, attached, absolute", [
+        (0, {0: 0, 1: 1, 2: 1}, {0: 0, 1: 1, 2: 0}, {0: 0, 1: 2, 2: 1}),
+        (2, {0: 0, 1: 0, 2: 1}, {0: 0, 1: 1, 2: 0}, {0: 0, 1: 1, 2: 1})])
+    def test_torus_meridian_closed_forms(self, q, relative, attached,
+                                         absolute):
+        # at T^0 every cell is thin; at T^2 only the rate-2 edges and the
+        # triangles are, and the meridian is a circle of rate-2 edges
+        for n in (4, 8, 12, 16):
+            c, rates, meridian, _, _ = helpers.torus_pair(n)
+            rep = relative_vanishing(c, rates, meridian, Velocity(F(q)))
+            assert (rep.relative, rep.attached, rep.absolute) == (
+                relative, attached, absolute), n
+            assert rep.exact, n
