@@ -116,25 +116,26 @@ def _read_document(data, precision_cap):
     """Check a document and build what it describes, in one pass.
 
     Returns (problems, open subcomplexes, complex, geometry, explicit
-    rates).  The open subcomplexes are the problems of subcomplexes that
-    are not closed under faces, kept apart from the others: the document
-    still loads with them.  The complex is None when the cells are too
-    malformed to build one; the geometry is None when the document has
-    none or it does not parse.
+    rates, supports).  The open subcomplexes are the problems of
+    subcomplexes that are not closed under faces, kept apart from the
+    others: the document still loads with them.  The complex is None when
+    the cells are too malformed to build one; the geometry is None when the
+    document has none or it does not parse.  supports maps each cell whose
+    rate comes from the geometry to its vertex ids, in cell-id order.
     """
     if not isinstance(data, dict):
-        return ["a document must be a JSON object"], [], None, None, {}
+        return ["a document must be a JSON object"], [], None, None, {}, {}
     problems, unclosed = [], []
     if data.get("format") != FORMAT_TAG:
         problems.append(f"format tag must be {FORMAT_TAG!r}")
     if not isinstance(data.get("cells"), list):
         problems.append("missing cell list")
-        return problems, [], None, None, {}
+        return problems, [], None, None, {}, {}
     try:
         c = _cells_from_data(data)
     except (KeyError, TypeError, ValueError) as exc:
         problems.append(f"malformed cells: {exc}")
-        return problems, [], None, None, {}
+        return problems, [], None, None, {}, {}
     report = validate(c)
     problems.extend(report.problems)
 
@@ -161,13 +162,14 @@ def _read_document(data, precision_cap):
                 if cell.id not in geometry.vertices:
                     problems.append(f"vertex {cell.id} has no coordinates")
 
+    supports: Dict[int, List[int]] = {}
     for cell in c.cells():
         if cell.dim == 0 or cell.id in rated:
             continue
         if geometry is None:
             problems.append(f"cell {cell.id} has no rate and no geometry")
             continue
-        support = vertex_support(c, cell.id)
+        support = supports[cell.id] = sorted(vertex_support(c, cell.id))
         if len(support) != cell.dim + 1:
             problems.append(
                 f"cell {cell.id} is not a simplex; cannot rate it from geometry")
@@ -188,7 +190,7 @@ def _read_document(data, precision_cap):
             problems.append(f"subcomplex {name!r}: unknown cells {unknown}")
         elif not c.is_face_closed(frozenset(ids)):
             unclosed.append(f"subcomplex {name!r} is not closed under faces")
-    return problems, unclosed, c, geometry, rated
+    return problems, unclosed, c, geometry, rated, supports
 
 
 def document_problems(data: dict, precision_cap=None) -> List[str]:
@@ -212,16 +214,15 @@ def load_document(data: dict, precision_cap=None) -> ComplexDocument:
     cell-id order; deriving can raise IndeterminateAtPrecision or
     DegenerateSimplex for the first cell that fails.
     """
-    problems, _, c, geometry, rates = _read_document(data, precision_cap)
+    problems, _, c, geometry, rates, supports = _read_document(
+        data, precision_cap)
     if problems:
         raise DocumentError("; ".join(problems))
     warnings = [f"cell {cid}: explicit rate overrides geometry"
                 for cid in sorted(rates)] if geometry is not None else []
-    derived = [cell.id for cell in c.cells()
-               if cell.dim > 0 and cell.id not in rates]
-    if derived:
-        rates.update(zip(derived, simplex_rates(
-            geometry, [sorted(vertex_support(c, cid)) for cid in derived])))
+    if supports:
+        rates.update(zip(supports,
+                         simplex_rates(geometry, supports.values())))
     subcomplexes = {name: frozenset(ids)
                     for name, ids in data.get("subcomplexes", {}).items()}
     return ComplexDocument(complex=c, rates=dict(sorted(rates.items())),

@@ -286,12 +286,18 @@ def velocity_contains(v: Velocity, x: PuiseuxSeries) -> bool:
 _INT = r"-?\d+"
 _EXP = rf"(?:{_INT}|\(\s*{_INT}\s*/\s*\d+\s*\))"
 
-_TOKEN = re.compile(
-    rf"\s*(O\(\s*T\s*(?:\^\s*(?P<oexp>{_EXP}))?\s*\)"
-    rf"|T\s*\^\s*(?P<texp>{_EXP})"
-    rf"|T"
-    rf"|(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?"
-    rf"|\*|\+|-)")
+# One term, led by the sign that joins it to the term before: "+", "-" or
+# "+ -", and none or "-" before the first term.  Then coeff [* T-part] or a
+# bare T-part.
+_TERM = re.compile(
+    rf"\s*(?P<sign>\+\s*-|[+-])?\s*"
+    rf"(?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?"
+    rf"(?P<times>\s*\*\s*T(?:\s*\^\s*(?P<cexp>{_EXP}))?)?"
+    rf"|T(?:\s*\^\s*(?P<texp>{_EXP}))?)")
+
+# What may follow the last term: whitespace, or "+ O(T^p)" and whitespace.
+_TAIL = re.compile(
+    rf"\s*(?:\+\s*(?P<o>O)\(\s*T\s*(?:\^\s*(?P<prec>{_EXP}))?\s*\)\s*)?")
 
 
 def _parse_exponent(text: str) -> Fraction:
@@ -304,109 +310,61 @@ def _parse_exponent(text: str) -> Fraction:
         raise SeriesParseError(f"bad exponent {text!r}") from exc
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise SeriesParseError(f"unexpected input at {rest!r}")
-        pos = m.end()
-        tok = m.group(1)
-        if tok.startswith("O"):
-            oexp = m.group("oexp")
-            tokens.append(("O", _parse_exponent(oexp)
-                           if oexp is not None else Fraction(1)))
-        elif m.group("texp") is not None:
-            tokens.append(("T", _parse_exponent(m.group("texp"))))
-        elif tok == "T":
-            tokens.append(("T", Fraction(1)))
-        elif m.group("num") is not None:
-            den = m.group("den")
-            if den is not None and int(den) == 0:
-                raise SeriesParseError("zero denominator")
-            tokens.append(("C", Fraction(int(m.group("num")),
-                                         int(den) if den else 1)))
-        else:
-            tokens.append((tok, None))
-    return tokens
-
-
 def parse_series(text: str) -> PuiseuxSeries:
     """Parse the canonical series syntax.
 
-    ``series  ::= term (("+"|"-") term)* ["+" "O(" "T^" exp ")"]``
-    ``term    ::= coeff | coeff "*" T-part | T-part`` with ``T-part ::= "T" | "T^" exp``
-    and exponents either integers or parenthesized fractions.  A bare ``0``
+    ``series  ::= ["-"] term (("+" | "-" | "+" "-") term)* ["+" trunc]``
+    ``term    ::= coeff | coeff "*" T-part | T-part``
+    ``T-part  ::= "T" | "T^" exp``, ``trunc ::= "O(T)" | "O(T^" exp ")"``
+
+    A coefficient is a natural number or a fraction ``n/d`` with d > 0; an
+    exponent is an integer, possibly negative, or a parenthesized fraction
+    ``(n/d)`` with d > 0 and a possibly negative numerator.  ``T`` means ``T^1`` and ``O(T)``
+    means ``O(T^1)``.  Whitespace between the pieces is ignored, and any
+    Unicode decimal digit reads as ``int`` reads it.  A bare ``0``
     denotes exact zero; ``0 + O(T^p)`` an element only known to vanish to
-    order p.  Duplicate exponents are rejected.
+    order p.  Duplicate exponents are rejected, even with a zero
+    coefficient, and so is a nonzero term at or beyond the truncation.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise SeriesParseError("empty series")
-    terms: list[Term] = []
-    precision: ExtRational = INF
-    sign = 1
-    i = 0
-    expect_term = True
-    while i < len(tokens):
-        kind, value = tokens[i]
-        if expect_term:
-            if kind == "-" and sign == 1:
-                sign = -1
-                i += 1
-                continue
-            if kind == "O":
-                raise SeriesParseError("truncation must follow '+'")
-            if kind == "C":
-                coeff = sign * value
+    terms: dict[Fraction, Fraction] = {}
+    pos = 0
+    while (m := _TERM.match(text, pos)) is not None:
+        sign = m.group("sign") or ""
+        if terms and not sign:
+            raise SeriesParseError(
+                f"expected '+' or '-' before {m.group().strip()!r}")
+        if not terms and sign.startswith("+"):
+            raise SeriesParseError(f"leading '+' in {m.group().strip()!r}")
+        coeff = Fraction(-1 if sign.endswith("-") else 1)
+        exp = Fraction(1)
+        if m.group("num") is not None:
+            den = int(m.group("den") or 1)
+            if den == 0:
+                raise SeriesParseError(
+                    f"zero denominator in {m.group().strip()!r}")
+            coeff *= Fraction(int(m.group("num")), den)
+            if m.group("times") is None:
                 exp = Fraction(0)
-                if i + 1 < len(tokens) and tokens[i + 1][0] == "*":
-                    if i + 2 >= len(tokens) or tokens[i + 2][0] != "T":
-                        raise SeriesParseError("expected T after '*'")
-                    exp = tokens[i + 2][1]
-                    i += 2
-            elif kind == "T":
-                coeff = Fraction(sign)
-                exp = value
-            else:
-                raise SeriesParseError(f"expected a term, got {kind!r}")
-            terms.append((exp, coeff))
-            sign = 1
-            expect_term = False
-            i += 1
-        else:
-            if kind == "+":
-                if i + 1 < len(tokens) and tokens[i + 1][0] == "O":
-                    if i + 2 != len(tokens):
-                        raise SeriesParseError("truncation must come last")
-                    precision = tokens[i + 1][1]
-                    i += 2
-                    break
-                expect_term = True
-            elif kind == "-":
-                sign = -1
-                expect_term = True
-            else:
-                raise SeriesParseError(f"expected '+' or '-', got {kind!r}")
-            i += 1
-    if expect_term and not (len(terms) == 0 and precision is not INF):
-        raise SeriesParseError("dangling operator")
-    if i != len(tokens):
-        raise SeriesParseError("trailing input")
-    seen = set()
-    for exp, _ in terms:
-        if exp in seen:
+        exp_text = m.group("cexp") or m.group("texp")
+        if exp_text is not None:
+            exp = _parse_exponent(exp_text)
+        if exp in terms:
             raise SeriesParseError(f"duplicate exponent {exp}")
-        seen.add(exp)
+        terms[exp] = coeff
+        pos = m.end()
+    tail = _TAIL.fullmatch(text, pos)
+    if not terms or tail is None:
+        rest = text[pos:].strip()
+        raise SeriesParseError(
+            f"unexpected input at {rest!r}" if rest else "empty series")
+    precision: ExtRational = INF
+    if tail.group("o") is not None:
+        precision = _parse_exponent(tail.group("prec") or "1")
     # "0" and "0 + O(T^p)" come through as a single zero-coefficient term
-    terms = [(e, c) for e, c in terms if c != 0]
-    if precision is not INF and any(e >= precision for e, _ in terms):
+    kept = [(e, c) for e, c in terms.items() if c != 0]
+    if precision is not INF and any(e >= precision for e, _ in kept):
         raise SeriesParseError("term at or beyond the stated truncation")
-    return series(terms, precision=precision)
+    return series(kept, precision=precision)
 
 
 def _format_exponent(exp: Fraction) -> str:

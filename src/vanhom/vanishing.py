@@ -35,11 +35,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cells import CellComplex, CellSet, NotFaceClosed
+from .cells import CellComplex, CellSet
 from .homology import (Graded, IntColumn, Subspace, _boundary_columns,
                        _combine, _image_dims, _integer_rank, _integer_reduce,
-                       _pivot_levels, chain_boundary, rank_of, restrict_chain,
-                       unit_chains)
+                       _pivot_levels, _require_face_closed, chain_boundary,
+                       rank_of, restrict_chain, unit_chains)
 from .puiseux import INF, Velocity
 from .thinness import RateAnnotation, critical_rates, is_thin, rate_of
 
@@ -297,8 +297,7 @@ def attached_chain_complex(c: CellComplex, a: RateAnnotation, sub: CellSet,
     is the piece of the ambient thin complex that the pair quotients away.
     """
     sub = frozenset(sub)
-    if not c.is_face_closed(sub):
-        raise NotFaceClosed("subcomplex is not closed under faces")
+    _require_face_closed(c, sub, "subcomplex")
     pair = _Pair(c, a, sub, v)
     return ChainSubspaceComplex(c, {j: Subspace(pair.attached[j])
                                     for j in pair.degrees})
@@ -410,13 +409,19 @@ class _Pair:
         over B(P_j), quot_j through pi Z(P_j) over B(Q_j), conn_j through
         L_(j-1) over B(A_(j-1)), where L_j, the boundaries in P_j that pi
         kills, are the boundaries of lifts of relative cycles.
+
+        The composite of the two maps at a node vanishes by construction,
+        so a node is exact when rank_in + rank_out = dim: L_j is built from
+        combinations of B(P_j), so incl after conn is zero; pi kills every
+        chain of A, so quot after incl is zero; and an absolute cycle is its
+        own lift and has no boundary, so conn after quot is zero.
         """
         za, zp, zq = (self.cycles[name]
                       for name in ("attached", "absolute", "relative"))
         ba, bp, bq = (self.bounds[name]
                       for name in ("attached", "absolute", "relative"))
         lifts = {-1: []}
-        incl, quot, conn, composite = {}, {}, {}, {}
+        incl, quot, conn = {}, {}, {}
         for j in self.degrees:
             _, lifts[j] = _image_and_kernel(
                 bp[j], [self.project(x) for x in bp[j]])
@@ -432,15 +437,6 @@ class _Pair:
             incl[j] = _integer_rank(bp[j] + za[j]) - len(bp[j])
             quot[j] = _integer_rank(bq[j] + zp_projected) - len(bq[j])
             conn[j] = _integer_rank(ba[j - 1] + lifts[j - 1]) - len(ba[j - 1])
-            # composites through each group: incl after conn_(j+1) is zero
-            # when L_j bounds in P_j, quot after incl when pi Z(A_j) bounds
-            # in Q_j; conn after quot is zero by construction, since the
-            # absolute cycles have no boundary
-            composite[j, "attached"] = (
-                _integer_rank(bp[j] + lifts[j]) == len(bp[j]))
-            composite[j, "absolute"] = (_integer_rank(
-                bq[j] + [self.project(x) for x in za[j]]) == len(bq[j]))
-            composite[j, "relative"] = True
         nodes = []
         for j in reversed(self.degrees):
             for space, rank_in, rank_out in (
@@ -448,9 +444,8 @@ class _Pair:
                     ("absolute", incl[j], quot[j]),
                     ("relative", quot[j], conn[j])):
                 dim = self.dims[space][j]
-                nodes.append(LesNode(
-                    j, space, dim, rank_in, rank_out,
-                    composite[j, space] and rank_in + rank_out == dim))
+                nodes.append(LesNode(j, space, dim, rank_in, rank_out,
+                                     rank_in + rank_out == dim))
         return nodes
 
 
@@ -463,8 +458,7 @@ def relative_vanishing(c: CellComplex, a: RateAnnotation, sub: CellSet,
     sequence checks out.
     """
     sub = frozenset(sub)
-    if not c.is_face_closed(sub):
-        raise NotFaceClosed("subcomplex is not closed under faces")
+    _require_face_closed(c, sub, "subcomplex")
     pair = _Pair(c, a, sub, v)
     nodes = pair.les()
     return PairReport(velocity=v, absolute=pair.dims["absolute"],
@@ -477,12 +471,13 @@ def les_check(c: CellComplex, a: RateAnnotation, sub: CellSet,
               v: Velocity) -> LesReport:
     """Build the pair's long exact sequence and verify exactness.
 
-    At every node the composite of the two adjacent maps must vanish and
-    the ranks must fill the middle dimension.
+    At every node the ranks of the two adjacent maps must fill the middle
+    dimension.  Their composite vanishes by construction: the connecting
+    map's images are combinations of absolute boundaries, the projection
+    kills every attached chain, and an absolute cycle has no boundary.
     """
     sub = frozenset(sub)
-    if not c.is_face_closed(sub):
-        raise NotFaceClosed("subcomplex is not closed under faces")
+    _require_face_closed(c, sub, "subcomplex")
     nodes = _Pair(c, a, sub, v).les()
     return LesReport(velocity=v, nodes=nodes,
                      exact=all(n.ok for n in nodes))
@@ -514,8 +509,7 @@ def excision_check(c: CellComplex, a: RateAnnotation, sub: CellSet,
     the remainder a complex and the shrunken subcomplex face-closed.
     """
     sub, cut = frozenset(sub), frozenset(cut)
-    if not c.is_face_closed(sub):
-        raise NotFaceClosed("subcomplex is not closed under faces")
+    _require_face_closed(c, sub, "subcomplex")
     if not cut <= sub:
         raise InvalidExcision("cut set escapes the subcomplex")
     for cell in c.cells():

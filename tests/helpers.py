@@ -1,6 +1,7 @@
 """Shared generators and independent mini-oracles for the test suite."""
 
 import itertools
+import re
 from fractions import Fraction
 from typing import Dict, List
 
@@ -10,6 +11,7 @@ from vanhom import (INF, Cell, CellComplex, CellSet, ChainSubspaceComplex,
                     Subspace, build_torus, chain_boundary, constant, is_thin,
                     rank_of, restrict_chain, series, t_power, unit_chains)
 from vanhom.homology import Chain, _add_scaled, _Eliminator
+from vanhom.puiseux import _EXP, SeriesParseError, _parse_exponent
 
 RATE_CHOICES = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
 
@@ -498,3 +500,113 @@ def reference_excision_check(c, a, sub, cut, v) -> ExcisionReport:
     excised_dims = {j: excised.get(j, 0) for j in degrees}
     return ExcisionReport(velocity=v, full=full_dims, excised=excised_dims,
                           equal=full_dims == excised_dims)
+
+
+_REF_TOKEN = re.compile(
+    rf"\s*(O\(\s*T\s*(?:\^\s*(?P<oexp>{_EXP}))?\s*\)"
+    rf"|T\s*\^\s*(?P<texp>{_EXP})"
+    rf"|T"
+    rf"|(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?"
+    rf"|\*|\+|-)")
+
+
+def _ref_tokenize(text: str) -> list:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN.match(text, pos)
+        if not m:
+            rest = text[pos:].strip()
+            if not rest:
+                break
+            raise SeriesParseError(f"unexpected input at {rest!r}")
+        pos = m.end()
+        tok = m.group(1)
+        if tok.startswith("O"):
+            oexp = m.group("oexp")
+            tokens.append(("O", _parse_exponent(oexp)
+                           if oexp is not None else Fraction(1)))
+        elif m.group("texp") is not None:
+            tokens.append(("T", _parse_exponent(m.group("texp"))))
+        elif tok == "T":
+            tokens.append(("T", Fraction(1)))
+        elif m.group("num") is not None:
+            den = m.group("den")
+            if den is not None and int(den) == 0:
+                raise SeriesParseError("zero denominator")
+            tokens.append(("C", Fraction(int(m.group("num")),
+                                         int(den) if den else 1)))
+        else:
+            tokens.append((tok, None))
+    return tokens
+
+
+def reference_parse_series(text: str):
+    """parse_series by a regex tokenizer and a token state machine.
+
+    The library parses in one pass of a term pattern; this route must
+    accept and reject the same strings and give the same values.
+    """
+    tokens = _ref_tokenize(text)
+    if not tokens:
+        raise SeriesParseError("empty series")
+    terms = []
+    precision = INF
+    sign = 1
+    i = 0
+    expect_term = True
+    while i < len(tokens):
+        kind, value = tokens[i]
+        if expect_term:
+            if kind == "-" and sign == 1:
+                sign = -1
+                i += 1
+                continue
+            if kind == "O":
+                raise SeriesParseError("truncation must follow '+'")
+            if kind == "C":
+                coeff = sign * value
+                exp = Fraction(0)
+                if i + 1 < len(tokens) and tokens[i + 1][0] == "*":
+                    if i + 2 >= len(tokens) or tokens[i + 2][0] != "T":
+                        raise SeriesParseError("expected T after '*'")
+                    exp = tokens[i + 2][1]
+                    i += 2
+            elif kind == "T":
+                coeff = Fraction(sign)
+                exp = value
+            else:
+                raise SeriesParseError(f"expected a term, got {kind!r}")
+            terms.append((exp, coeff))
+            sign = 1
+            expect_term = False
+            i += 1
+        else:
+            if kind == "+":
+                if i + 1 < len(tokens) and tokens[i + 1][0] == "O":
+                    if i + 2 != len(tokens):
+                        raise SeriesParseError("truncation must come last")
+                    precision = tokens[i + 1][1]
+                    i += 2
+                    break
+                expect_term = True
+            elif kind == "-":
+                sign = -1
+                expect_term = True
+            else:
+                raise SeriesParseError(f"expected '+' or '-', got {kind!r}")
+            i += 1
+    if expect_term and not (len(terms) == 0 and precision is not INF):
+        raise SeriesParseError("dangling operator")
+    if i != len(tokens):
+        raise SeriesParseError("trailing input")
+    seen = set()
+    for exp, _ in terms:
+        if exp in seen:
+            raise SeriesParseError(f"duplicate exponent {exp}")
+        seen.add(exp)
+    # "0" and "0 + O(T^p)" come through as a single zero-coefficient term
+    terms = [(e, c) for e, c in terms if c != 0]
+    if precision is not INF and any(e >= precision for e, _ in terms):
+        raise SeriesParseError("term at or beyond the stated truncation")
+    return series(terms, precision=precision)

@@ -1,0 +1,67 @@
+"""The one-pass series parser against the tokenizer route it replaced."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import reference_parse_series
+from vanhom import INF, SeriesParseError, parse_series, series
+
+F = Fraction
+
+TOKENS = ("0 1 12 3/2 1/0 T T^2 T^-1 T^(1/2) T^(1/0) * + - O(T) O(T^2) "
+          "^ ( ) / x").split()
+# each token with and without a blank after it
+PIECES = [token + gap for token in TOKENS for gap in ("", " ")]
+CHARACTERS = "0123T^()*/+- O\t ٣"
+
+
+def outcome(parse, text):
+    """The parsed (terms, precision), or None for a rejection."""
+    try:
+        s = parse(text)
+    except SeriesParseError:
+        return None
+    return s.terms, s.precision
+
+
+def assert_same(text):
+    assert (outcome(parse_series, text)
+            == outcome(reference_parse_series, text)), repr(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=8))
+def test_token_strings_match_reference(pieces):
+    assert_same("".join(pieces))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.text(alphabet=CHARACTERS, max_size=12))
+def test_character_strings_match_reference(text):
+    assert_same(text)
+
+
+@pytest.mark.parametrize("text, terms, precision", [
+    ("1 + -T", ((F(0), F(1)), (F(1), F(-1))), INF),
+    ("1 + O(T)", ((F(0), F(1)),), F(1)),
+    ("T^-1 - 2*T^(-1/2)", ((F(-1), F(1)), (F(-1, 2), F(-2))), INF),
+    ("0 + O(T^0)", (), F(0)),
+    ("0*T^5 + O(T^2)", (), F(2)),
+    ("٣*T^٣ + O(T^(٣٣/2))", ((F(3), F(3)),), F(33, 2)),
+])
+def test_accepted_quirks(text, terms, precision):
+    assert parse_series(text) == series(terms, precision)
+    assert_same(text)
+
+
+@pytest.mark.parametrize("text", [
+    "- -T", "1 - -T", "+T", "+ -T", "1 - O(T^2)", "0*T + 0*T", "2T",
+    "1 + O(T) + T", "O(T)", "T^(1/0)", "3/0", "1 +",
+])
+def test_rejected_quirks(text):
+    with pytest.raises(SeriesParseError):
+        parse_series(text)
+    assert_same(text)
