@@ -213,6 +213,8 @@ class SimplicialBuilder:
         self._by_vertices: Dict[FrozenSet[int], int] = {}
         self._order: Dict[int, Tuple[int, ...]] = {}
         self.rates: Dict[int, ExtRational] = {}
+        # the largest cell id so far; a new simplex gets the next one
+        self._top_id = -1
 
     def add_vertex(self, vid: int, label: Optional[str] = None) -> int:
         key = frozenset([vid])
@@ -221,10 +223,8 @@ class SimplicialBuilder:
         self._cells.append(Cell(vid, 0, (), label))
         self._by_vertices[key] = vid
         self._order[vid] = (vid,)
+        self._top_id = max(self._top_id, vid)
         return vid
-
-    def _next_id(self) -> int:
-        return max((c.id for c in self._cells), default=-1) + 1
 
     def add_simplex(self, vertices: Sequence[int],
                     rate: Optional[ExtRational] = None,
@@ -244,7 +244,8 @@ class SimplicialBuilder:
             stored = self._order[fid]
             relative = [stored.index(v) for v in face]
             boundary.append(((-1) ** i * _perm_sign(relative), fid))
-        cid = self._next_id()
+        self._top_id += 1
+        cid = self._top_id
         self._cells.append(Cell(cid, len(vertices) - 1, tuple(boundary), label))
         self._by_vertices[key] = cid
         self._order[cid] = vertices

@@ -74,19 +74,18 @@ def _emit(payload: dict):
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_degrees(text):
+def _parse_degrees(text, c):
+    """The degrees named by --degrees (see _DEGREES_HELP), None for all."""
     if text is None:
         return None
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return [int(text)]
-
-
-def _filter_degrees(dims: dict, degrees) -> dict:
-    if degrees is None:
-        return dims
-    return {j: dims.get(j, 0) for j in degrees}
+    lo, sep, hi = text.partition("..")
+    try:
+        degrees = range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        degrees = range(0)
+    if not (degrees and 0 <= degrees[0] and degrees[-1] <= max(c.dim, 0)):
+        raise ValueError(f"bad --degrees {text!r}")
+    return degrees
 
 
 def _subcomplex(doc, name: str):
@@ -131,10 +130,12 @@ def _cmd_rates(args) -> int:
 def _cmd_compute(args) -> int:
     doc = _load(args.file)
     v = parse_velocity(args.velocity)
+    degrees = _parse_degrees(args.degrees, doc.complex)
     engine = vanishing_betti_oracle if args.oracle else vanishing_betti
     table = engine(doc.complex, doc.rates, v)
-    degrees = _parse_degrees(args.degrees)
-    dims = _filter_degrees(table.dims, degrees)
+    dims = table.dims
+    if degrees is not None:
+        dims = {j: dims.get(j, 0) for j in degrees}
     if args.format == "tsv":
         for j in sorted(dims):
             print(f"{j}\t{dims[j]}")
@@ -155,7 +156,7 @@ def _cmd_euler(args) -> int:
 def _cmd_sweep(args) -> int:
     doc = _load(args.file)
     table = sweep(doc.complex, doc.rates,
-                  degrees=_parse_degrees(args.degrees))
+                  degrees=_parse_degrees(args.degrees, doc.complex))
     if args.format == "tsv":
         for j in sorted(table.dims):
             for lo, hi, value in table.intervals(j):
@@ -225,6 +226,10 @@ def _cmd_example(args) -> int:
     return 0
 
 
+_DEGREES_HELP = ("one degree or a range lo..hi like 0..2, "
+                 "with 0 <= lo <= hi <= the top cell dimension")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vanhom",
@@ -248,9 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_velocity(with_file(sub.add_parser(
         "compute", help="vanishing homology dimensions")))
-    p.add_argument("--degrees", help="one degree or a range like 0..2")
+    p.add_argument("--degrees", help=_DEGREES_HELP)
     p.add_argument("--oracle", action="store_true",
-                   help="use the chain-subspace route instead of the filtration")
+                   help="use the chain-subspace oracle instead of the "
+                        "pivot-count engine")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.set_defaults(func=_cmd_compute)
 
@@ -260,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_file(sub.add_parser(
         "sweep", help="dimensions across all velocity thresholds"))
-    p.add_argument("--degrees", help="one degree or a range like 0..2")
+    p.add_argument("--degrees", help=_DEGREES_HELP)
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.set_defaults(func=_cmd_sweep)
 

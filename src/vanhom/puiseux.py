@@ -93,8 +93,8 @@ class PuiseuxSeries:
     """A truncated Puiseux series in canonical form.
 
     terms: (exponent, coefficient) pairs, exponents strictly increasing,
-    coefficients nonzero, every exponent below ``precision``.  Use
-    :func:`series` to build one from raw data; the constructor only checks.
+    coefficients nonzero, every exponent below ``precision``.  The
+    constructor only checks; build one from raw pairs with :func:`series`.
     """
 
     terms: Tuple[Term, ...] = ()
@@ -182,7 +182,8 @@ class PuiseuxSeries:
     def truncate(self, precision: ExtRational) -> "PuiseuxSeries":
         """Forget everything from T^precision on."""
         prec = min(self.precision, precision)
-        return series(self.terms, precision=prec)
+        return PuiseuxSeries(tuple((e, c) for e, c in self.terms if e < prec),
+                             prec)
 
     # -- order -----------------------------------------------------------
 
@@ -362,9 +363,9 @@ def parse_series(text: str) -> PuiseuxSeries:
         precision = _parse_exponent(tail.group("prec") or "1")
     # "0" and "0 + O(T^p)" come through as a single zero-coefficient term
     kept = [(e, c) for e, c in terms.items() if c != 0]
-    if precision is not INF and any(e >= precision for e, _ in kept):
+    if any(e >= precision for e, _ in kept):
         raise SeriesParseError("term at or beyond the stated truncation")
-    return series(kept, precision=precision)
+    return PuiseuxSeries(tuple(sorted(kept)), precision)
 
 
 def _format_exponent(exp: Fraction) -> str:

@@ -37,11 +37,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .cells import Cell, CellComplex, CellSet, InvalidComplex, SimplicialBuilder
 from .puiseux import (INF, ExtRational, IndeterminateAtPrecision, PuiseuxSeries,
-                      Velocity, series)
+                      Velocity, _Infinity)
 
 RateAnnotation = Mapping[int, ExtRational]
 
@@ -158,11 +158,12 @@ class GeometricComplex:
                         f"missing face {sorted(face)} of {tuple(simplex)}")
 
 
-# An integer series is ({exponent: coefficient}, precision or None): a
+# An integer series is ({exponent: coefficient}, precision): a
 # PuiseuxSeries with its exponents and precision multiplied by a common
-# denominator D and its coefficients by a common multiple L.  None is an
-# infinite precision.
-_IntSeries = Tuple[Dict[int, int], Optional[int]]
+# denominator D and its coefficients by a common multiple L.  An infinite
+# precision stays INF, as in PuiseuxSeries.
+_IntPrecision = Union[int, _Infinity]
+_IntSeries = Tuple[Dict[int, int], _IntPrecision]
 
 
 def _scales(entries: Iterable[PuiseuxSeries]) -> Tuple[int, int]:
@@ -181,15 +182,12 @@ def _scales(entries: Iterable[PuiseuxSeries]) -> Tuple[int, int]:
 def _integer_series(s: PuiseuxSeries, d: int, scale: int) -> _IntSeries:
     terms = {e.numerator * (d // e.denominator):
              c.numerator * (scale // c.denominator) for e, c in s.terms}
-    if s.precision is INF:
-        return terms, None
     p = s.precision
-    return terms, p.numerator * (d // p.denominator)
+    return terms, p if p is INF else p.numerator * (d // p.denominator)
 
 
-def _canonical(acc: Dict[int, int], prec: Optional[int]) -> _IntSeries:
-    return ({e: c for e, c in acc.items() if c and (prec is None or e < prec)},
-            prec)
+def _canonical(acc: Dict[int, int], prec: _IntPrecision) -> _IntSeries:
+    return {e: c for e, c in acc.items() if c and e < prec}, prec
 
 
 def _difference(a: _IntSeries, b: _IntSeries) -> _IntSeries:
@@ -197,8 +195,7 @@ def _difference(a: _IntSeries, b: _IntSeries) -> _IntSeries:
     acc = dict(ta)
     for e, c in tb.items():
         acc[e] = acc.get(e, 0) - c
-    return _canonical(acc, pb if pa is None else pa if pb is None
-                      else min(pa, pb))
+    return _canonical(acc, min(pa, pb))
 
 
 def _expand(top: Sequence[_IntSeries], cols: Tuple[int, ...],
@@ -212,16 +209,13 @@ def _expand(top: Sequence[_IntSeries], cols: Tuple[int, ...],
     product, so this drops what dropping after each step would.
     """
     acc: Dict[int, int] = {}
-    prec: Optional[int] = None
+    prec: _IntPrecision = INF
     for k, col in enumerate(cols):
         ta, pa = top[col]
         tb, pb = below[rest, cols[:k] + cols[k + 1:]]
         low_a = min(ta) if ta else pa
         low_b = min(tb) if tb else pb
-        for bound in (None if pb is None or low_a is None else pb + low_a,
-                      None if pa is None or low_b is None else pa + low_b):
-            if bound is not None and (prec is None or bound < prec):
-                prec = bound
+        prec = min(prec, pb + low_a, pa + low_b)
         sign = -1 if k % 2 else 1
         for ea, ca in ta.items():
             ca *= sign
@@ -248,24 +242,20 @@ def _minor_valuations(matrix: Sequence[Sequence[_IntSeries]],
                                             rows[1:])
                       for rows in itertools.combinations(range(nrows), size)
                       for cols in itertools.combinations(range(ncols), size)}
-        best: Optional[int] = None
+        best = INF
         # a minor with no known term may hide its leading term anywhere
         # from its precision on
-        pending_floor: Optional[int] = None
+        pending_floor = INF
         for terms, prec in minors.values():
             if terms:
-                low = min(terms)
-                if best is None or low < best:
-                    best = low
-            elif prec is not None and (pending_floor is None
-                                       or prec < pending_floor):
-                pending_floor = prec
-        if pending_floor is not None and (best is None
-                                          or best >= pending_floor):
+                best = min(best, min(terms))
+            else:
+                pending_floor = min(pending_floor, prec)
+        if pending_floor is not INF and best >= pending_floor:
             raise IndeterminateAtPrecision(
                 f"a size-{size} minor is undetermined below its truncation "
                 f"and could dominate")
-        if best is None:
+        if best is INF:
             out.extend([INF] * (r - size + 1))
             return out
         out.append(Fraction(best - prev, d))

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from vanhom import (Cell, CellComplex, InvalidComplex, NotFaceClosed, betti,
-                    build_circle, build_pinched_spheres, build_torus,
-                    disjoint_union, validate, vertex_support)
+from vanhom import (Cell, CellComplex, InvalidComplex, NotFaceClosed,
+                    SimplicialBuilder, betti, build_circle,
+                    build_pinched_spheres, build_torus, disjoint_union,
+                    validate, vertex_support)
 
 F = Fraction
 
@@ -175,6 +176,29 @@ class TestSubsets:
             c, _ = helpers.random_complex(rng)
             s = helpers.random_subcomplex(rng, c)
             assert betti(c, s, 0) == helpers.component_count(c, s)
+
+
+class TestSimplicialBuilder:
+    def test_new_ids_follow_the_largest_so_far(self):
+        b = SimplicialBuilder()
+        b.add_vertex(10)
+        b.add_vertex(3)
+        assert b.add_simplex((10, 3)) == 11
+        b.add_vertex(20)
+        assert b.add_simplex((3, 20)) == 21
+        assert b.add_simplex((20, 10)) == 22
+        assert b.add_simplex((10, 3, 20)) == 23
+        c = b.complex()
+        assert sorted(c.cell_ids()) == [3, 10, 11, 20, 21, 22, 23]
+        assert validate(c).ok
+
+    def test_rejected_simplex_takes_no_id(self):
+        b = SimplicialBuilder()
+        b.add_vertex(0)
+        b.add_vertex(1)
+        with pytest.raises(InvalidComplex):
+            b.add_simplex((0, 2))
+        assert b.add_simplex((0, 1)) == 2
 
 
 class TestDisjointUnion:

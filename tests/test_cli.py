@@ -97,6 +97,19 @@ class TestCompute:
         code, out, _ = run(capsys, "euler", torus_doc, "--velocity", "T^2")
         assert (code, out) == (0, "0\n")
 
+    @pytest.mark.parametrize("degrees", ["0..1000", "-1", "3..1", "3",
+                                         "1..", "..2", "0..1..2", "x"])
+    def test_bad_degrees(self, torus_doc, capsys, degrees):
+        code, out, err = run(capsys, "compute", torus_doc,
+                             "--velocity", "T^2", "--degrees", degrees)
+        assert (code, out) == (1, "")
+        assert err == f"error: bad --degrees {degrees!r}\n"
+
+    def test_full_degree_range(self, torus_doc, capsys):
+        code, out, _ = run(capsys, "compute", torus_doc, "--velocity", "T^2",
+                           "--format", "tsv", "--degrees", "0..2")
+        assert (code, out) == (0, "0\t0\n1\t1\n2\t1\n")
+
 
 class TestSweep:
     def test_json(self, torus_doc, capsys):
@@ -114,6 +127,12 @@ class TestSweep:
         assert out == ("1\t(-inf, 0]\t2\n"
                        "1\t(0, 2]\t1\n"
                        "1\t(2, inf)\t0\n")
+
+    @pytest.mark.parametrize("degrees", ["0..1000", "-1", "3..1"])
+    def test_bad_degrees(self, torus_doc, capsys, degrees):
+        code, out, err = run(capsys, "sweep", torus_doc, "--degrees", degrees)
+        assert (code, out) == (1, "")
+        assert err == f"error: bad --degrees {degrees!r}\n"
 
 
 class TestPairCommands:

@@ -220,3 +220,20 @@ def test_valuation_laws(a, b):
 @given(any_series)
 def test_parse_format_roundtrip(a):
     assert parse_series(format_series(a)) == a
+
+
+truncation_points = st.one_of(
+    st.just(INF), st.integers(min_value=-6, max_value=9),
+    st.fractions(min_value=-6, max_value=9, max_denominator=6))
+
+
+@settings(deadline=None)
+@given(any_series, st.data())
+def test_truncate_matches_canonicalizing_route(a, data):
+    exps = [e for e, _ in a.terms]
+    # at a term, halfway between two terms, or anywhere in a wider range
+    on_terms = exps + [(x + y) / 2 for x, y in zip(exps, exps[1:])]
+    points = (st.one_of(st.sampled_from(on_terms), truncation_points)
+              if on_terms else truncation_points)
+    p = data.draw(points)
+    assert a.truncate(p) == series(a.terms, precision=min(a.precision, p))
