@@ -33,8 +33,8 @@ from fractions import Fraction
 
 from .cells import InvalidComplex, NotFaceClosed, NotNested
 from .cells import build_circle, build_pinched_spheres, build_torus
-from .document import (DocumentError, document_dict, document_problems,
-                       dumps_document, load_document)
+from .document import (ID_TEXT, DocumentError, document_dict,
+                       document_problems, dumps_document, load_document)
 from .puiseux import (INF, IndeterminateAtPrecision, SeriesParseError,
                       parse_velocity)
 from .thinness import DegenerateSimplex, MissingRate, rate_of
@@ -189,7 +189,10 @@ def _cmd_les(args) -> int:
 def _cmd_excise(args) -> int:
     doc = _load(args.file)
     v = parse_velocity(args.velocity)
-    cut = frozenset(int(part) for part in args.cut.split(",") if part)
+    parts = args.cut.split(",") if args.cut else []
+    if not all(ID_TEXT.fullmatch(part) for part in parts):
+        raise ValueError(f"bad --cut {args.cut!r}")
+    cut = frozenset(map(int, parts))
     report = excision_check(doc.complex, doc.rates,
                             _subcomplex(doc, args.subcomplex), cut, v)
     _emit(report.as_dict())
@@ -287,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subcomplex", required=True,
                    help="name of a declared subcomplex")
     p.add_argument("--cut", required=True,
-                   help="comma-separated cell ids to remove")
+                   help="comma-separated cell ids to remove, each a "
+                        "canonical decimal integer as in the vertex keys; "
+                        "an empty string is an empty cut")
     p.set_defaults(func=_cmd_excise)
 
     p = sub.add_parser("example", help="write a stock complex")

@@ -25,6 +25,7 @@ from .puiseux import (INF, ExtRational, PuiseuxSeries, SeriesParseError,
 from .thinness import GeometricComplex, simplex_rates
 
 FORMAT_TAG = "vanhom-complex/1"
+ID_TEXT = re.compile(r"0|-?[1-9][0-9]*")
 
 
 class DocumentError(ValueError):
@@ -94,7 +95,7 @@ def _geometry_from_data(block, precision_cap) -> GeometricComplex:
         raise TypeError("vertices must map vertex ids to coordinates")
     for key, texts in vertices.items():
         # only the canonical form, so no two keys name one vertex
-        if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+        if not ID_TEXT.fullmatch(key):
             raise ValueError(
                 f"vertex key {key!r} is not a canonical decimal integer")
         if not (isinstance(texts, list) and len(texts) == ambient

@@ -24,9 +24,10 @@ relative groups are the homology of A, P and Q, and the long exact
 sequence connects them.  Excision drops a set W from the interior of S
 without changing the relative groups.  It runs on the integer kernel of
 :mod:`vanhom.homology`: each space is an independent set of integer
-chains, and every dimension, map rank and internal check is a rank of
-integer columns.  Only the oracle side (the chain-subspace complexes and
-:func:`vanishing_betti_oracle`) uses :class:`Subspace`.
+chains, every dimension is a count of cycles less boundaries, and one
+reduction per map of the long exact sequence gives its rank and checks
+that its images are cycles.  Only the oracle side (the chain-subspace
+complexes and :func:`vanishing_betti_oracle`) uses :class:`Subspace`.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cells import CellComplex, CellSet
 from .homology import (Graded, IntColumn, Subspace, _boundary_columns,
-                       _combine, _image_dims, _integer_rank, _integer_reduce,
-                       _pivot_levels, _require_face_closed, chain_boundary,
-                       rank_of, restrict_chain, unit_chains)
+                       _combine, _image_dims, _integer_reduce, _pivot_levels,
+                       _require_face_closed, chain_boundary, rank_of,
+                       restrict_chain, unit_chains)
 from .puiseux import INF, Velocity
 from .thinness import RateAnnotation, critical_rates, is_thin, rate_of
 
@@ -130,17 +131,12 @@ class ChainSubspaceComplex:
     def homology_dims(self) -> Dict[int, int]:
         """dim ker - dim im per degree, degrees 0..top."""
         top = max(self.spaces, default=-1)
-        dims = {}
-        for j in range(top + 1):
-            space = self.space(j)
-            out_rank = 0
-            if j >= 1:
-                out_rank = rank_of(chain_boundary(self.complex, vec)
-                                   for vec in space.basis())
-            in_rank = rank_of(chain_boundary(self.complex, vec)
-                              for vec in self.space(j + 1).basis())
-            dims[j] = space.dim - out_rank - in_rank
-        return dims
+        # rank d on each degree: its out rank, and the in rank one below
+        ranks = {j: rank_of(chain_boundary(self.complex, vec)
+                            for vec in self.space(j).basis())
+                 for j in range(1, top + 1)}
+        return {j: self.space(j).dim - ranks.get(j, 0) - ranks.get(j + 1, 0)
+                for j in range(top + 1)}
 
 
 def _thin_ids(c: CellComplex, a: RateAnnotation, v: Velocity,
@@ -296,8 +292,6 @@ def attached_chain_complex(c: CellComplex, a: RateAnnotation, sub: CellSet,
     plus boundaries of thin (j+1)-chains) that lie in the subcomplex.  This
     is the piece of the ambient thin complex that the pair quotients away.
     """
-    sub = frozenset(sub)
-    _require_face_closed(c, sub, "subcomplex")
     pair = _Pair(c, a, sub, v)
     return ChainSubspaceComplex(c, {j: Subspace(pair.attached[j])
                                     for j in pair.degrees})
@@ -318,14 +312,24 @@ def _image_and_kernel(basis: List[IntColumn], images: List[IntColumn]
     return [images[i] for i in independent], _combine(basis, combos)
 
 
-def _require(part: List[IntColumn], space: List[IntColumn], space_rank: int,
-             failure: str):
-    """Raise AssertionError(failure) unless part lies in the span of space.
+def _class_rank(images: List[IntColumn], bounds: List[IntColumn],
+                cycles: List[IntColumn], failure: str) -> int:
+    """The rank of the images' classes in Z/B, once they are known cycles.
 
-    U lies in W exactly when rank(U and W) = rank W.
+    bounds and cycles are independent spanning sets of B and Z.  One
+    reduction of bounds + images + cycles gives both: the pivots among its
+    first |B| + |images| columns count rank(B and images) (a prefix, see
+    _integer_reduce), and it has |Z| pivots exactly when B and the images
+    lie in Z; otherwise it raises AssertionError(failure).  B in Z is then
+    checked too: for Q on its own, for A and P it is dd = 0, which the
+    public pair functions take as a precondition of the complex (validate
+    checks it).  With no images this is a containment check of B alone.
     """
-    if _integer_rank(part + space) != space_rank:
+    pivots, _ = _integer_reduce(bounds + images + cycles)
+    if len(pivots) != len(cycles):
         raise AssertionError(failure)
+    prefix = len(bounds) + len(images)
+    return sum(index < prefix for index in pivots) - len(bounds)
 
 
 class _Pair:
@@ -343,14 +347,17 @@ class _Pair:
 
     Each space is held as an independent integer spanning set.  One loop
     takes the cycles Z_j and boundaries B_j of all three complexes, and each
-    group's dimension is |Z_j| - |B_j|.  Every map rank of the long exact
-    sequence and every check is a rank of a union of such sets; a check
+    group's dimension is |Z_j| - |B_j|.  Each map of the long exact
+    sequence and each closure check is one reduction (_class_rank) that
+    gives the map's rank and checks its images against the target; a check
     that fails raises AssertionError naming the check, the degree and the
     velocity.
     """
 
     def __init__(self, c: CellComplex, a: RateAnnotation, sub: CellSet,
                  v: Velocity):
+        sub = frozenset(sub)
+        _require_face_closed(c, sub, "subcomplex")
         self.velocity = v
         self.outside = c.cell_ids() - sub
         d = max(c.dim, 0)
@@ -381,25 +388,23 @@ class _Pair:
                 bounds[j - 1], cycles[j] = _image_and_kernel(
                     spaces[j], [bd(x) for x in spaces[j]])
                 if j:
-                    self._check(bounds[j - 1], spaces[j - 1],
-                                f"{name} chains are not closed under the "
-                                f"boundary", j)
+                    _class_rank([], bounds[j - 1], spaces[j - 1],
+                                self._failure(f"{name} chains are not closed "
+                                              f"under the boundary", j))
             bounds[d] = []
             self.cycles[name], self.bounds[name] = cycles, bounds
             self.dims[name] = {j: len(cycles[j]) - len(bounds[j])
                                for j in self.degrees}
         for j in self.degrees:
-            self._check(self.bounds["relative"][j],
-                        self.cycles["relative"][j],
-                        "relative boundary is not a relative cycle", j)
+            _class_rank([], self.bounds["relative"][j],
+                        self.cycles["relative"][j], self._failure(
+                            "relative boundary is not a relative cycle", j))
 
     def project(self, x: IntColumn) -> IntColumn:
         return restrict_chain(x, self.outside)
 
-    def _check(self, part: List[IntColumn], space: List[IntColumn],
-               what: str, j: int):
-        _require(part, space, len(space),
-                 f"degree-{j} {what} at {self.velocity}")
+    def _failure(self, what: str, j: int) -> str:
+        return f"degree-{j} {what} at {self.velocity}"
 
     def les(self) -> List[LesNode]:
         """The long exact sequence's nodes, each checked for exactness.
@@ -408,7 +413,8 @@ class _Pair:
         its images add to the target's boundaries: incl_j through Z(A_j)
         over B(P_j), quot_j through pi Z(P_j) over B(Q_j), conn_j through
         L_(j-1) over B(A_(j-1)), where L_j, the boundaries in P_j that pi
-        kills, are the boundaries of lifts of relative cycles.
+        kills, are the boundaries of lifts of relative cycles.  One
+        reduction per map gives its rank and checks its images are cycles.
 
         The composite of the two maps at a node vanishes by construction,
         so a node is exact when rank_in + rank_out = dim: L_j is built from
@@ -425,18 +431,15 @@ class _Pair:
         for j in self.degrees:
             _, lifts[j] = _image_and_kernel(
                 bp[j], [self.project(x) for x in bp[j]])
-            zp_projected = [self.project(x) for x in zp[j]]
-            # each class of one group must be a class of the next
-            self._check(za[j], zp[j],
-                        "attached cycle is not an absolute cycle", j)
-            self._check(zp_projected, zq[j],
-                        "absolute cycle is not a relative cycle", j)
-            self._check(lifts[j - 1], za.get(j - 1, []),
-                        "relative cycle has a boundary that is not an "
-                        "attached cycle", j)
-            incl[j] = _integer_rank(bp[j] + za[j]) - len(bp[j])
-            quot[j] = _integer_rank(bq[j] + zp_projected) - len(bq[j])
-            conn[j] = _integer_rank(ba[j - 1] + lifts[j - 1]) - len(ba[j - 1])
+            incl[j] = _class_rank(za[j], bp[j], zp[j], self._failure(
+                "attached cycle is not an absolute cycle", j))
+            quot[j] = _class_rank(
+                [self.project(x) for x in zp[j]], bq[j], zq[j], self._failure(
+                    "absolute cycle is not a relative cycle", j))
+            conn[j] = _class_rank(
+                lifts[j - 1], ba[j - 1], za.get(j - 1, []), self._failure(
+                    "relative cycle has a boundary that is not an attached "
+                    "cycle", j))
         nodes = []
         for j in reversed(self.degrees):
             for space, rank_in, rank_out in (
@@ -453,12 +456,10 @@ def relative_vanishing(c: CellComplex, a: RateAnnotation, sub: CellSet,
                        v: Velocity) -> PairReport:
     """Vanishing homology of the pair (complex, subcomplex) at a velocity.
 
-    The subcomplex must be face-closed.  The report carries the absolute,
-    relative and attached dimensions and whether the connecting long exact
-    sequence checks out.
+    The complex must pass validate (dd = 0) and the subcomplex must be
+    face-closed.  The report carries the absolute, relative and attached
+    dimensions and whether the connecting long exact sequence checks out.
     """
-    sub = frozenset(sub)
-    _require_face_closed(c, sub, "subcomplex")
     pair = _Pair(c, a, sub, v)
     nodes = pair.les()
     return PairReport(velocity=v, absolute=pair.dims["absolute"],
@@ -475,9 +476,8 @@ def les_check(c: CellComplex, a: RateAnnotation, sub: CellSet,
     dimension.  Their composite vanishes by construction: the connecting
     map's images are combinations of absolute boundaries, the projection
     kills every attached chain, and an absolute cycle has no boundary.
+    The complex and subcomplex must be as for relative_vanishing.
     """
-    sub = frozenset(sub)
-    _require_face_closed(c, sub, "subcomplex")
     nodes = _Pair(c, a, sub, v).les()
     return LesReport(velocity=v, nodes=nodes,
                      exact=all(n.ok for n in nodes))
@@ -504,9 +504,10 @@ def excision_check(c: CellComplex, a: RateAnnotation, sub: CellSet,
                    cut: CellSet, v: Velocity) -> ExcisionReport:
     """Compare the pair's homology before and after removing a cut set.
 
-    The cut must sit inside the subcomplex and be closed under cofaces
-    (every cell having a face in the cut is itself in the cut), which keeps
-    the remainder a complex and the shrunken subcomplex face-closed.
+    The complex and subcomplex must be as for relative_vanishing.  The cut
+    must sit inside the subcomplex and be closed under cofaces (every cell
+    having a face in the cut is itself in the cut), which keeps the
+    remainder a complex and the shrunken subcomplex face-closed.
     """
     sub, cut = frozenset(sub), frozenset(cut)
     _require_face_closed(c, sub, "subcomplex")
@@ -521,8 +522,6 @@ def excision_check(c: CellComplex, a: RateAnnotation, sub: CellSet,
     full = _Pair(c, a, sub, v).dims["relative"]
     rest = c.restrict(c.cell_ids() - cut)
     excised = _Pair(rest, a, sub - cut, v).dims["relative"]
-    degrees = range(max(c.dim, 0) + 1)
-    full_dims = {j: full.get(j, 0) for j in degrees}
-    excised_dims = {j: excised.get(j, 0) for j in degrees}
-    return ExcisionReport(velocity=v, full=full_dims, excised=excised_dims,
-                          equal=full_dims == excised_dims)
+    excised = {j: excised.get(j, 0) for j in full}
+    return ExcisionReport(velocity=v, full=full, excised=excised,
+                          equal=full == excised)

@@ -181,6 +181,22 @@ class TestPairCommands:
         assert code == 3
         assert "error" in err
 
+    # ids are canonical decimal integers, as for document vertex keys:
+    # int() would read 1_0 as 10 and an Arabic-Indic digit as 3
+    @pytest.mark.parametrize("cut", ["1_0", "\u0663", "x", "1.5", "+1",
+                                     " 1", "01", "-0", "1,,2", ",", "1,"])
+    def test_bad_cut(self, pinched_doc, capsys, cut):
+        code, out, err = run(capsys, "excise", pinched_doc, "--velocity",
+                             "T^2", "--subcomplex", "circle", "--cut", cut)
+        assert (code, out) == (1, "")
+        assert err == f"error: bad --cut {cut!r}\n"
+
+    def test_empty_cut(self, pinched_doc, capsys):
+        code, out, _ = run(capsys, "excise", pinched_doc, "--velocity",
+                           "T^2", "--subcomplex", "circle", "--cut", "")
+        assert code == 0
+        assert json.loads(out)["equal"] is True
+
     def test_unknown_subcomplex(self, pinched_doc, capsys):
         code, _, err = run(capsys, "relative", pinched_doc,
                            "--velocity", "T^2", "--subcomplex", "nope")
@@ -425,13 +441,13 @@ class TestInternalChecks:
     def test_failed_pair_check_exits_4(self, pinched_doc, capsys,
                                        monkeypatch, check):
         failure = f"degree-1 {check} at T^2"
-        require = vanishing._require
+        class_rank = vanishing._class_rank
 
-        def broken(part, space, space_rank, message):
+        def broken(images, bounds, cycles, message):
             if message == failure:
                 raise AssertionError(message)
-            require(part, space, space_rank, message)
-        monkeypatch.setattr(vanishing, "_require", broken)
+            return class_rank(images, bounds, cycles, message)
+        monkeypatch.setattr(vanishing, "_class_rank", broken)
         code, out, err = run(capsys, "relative", pinched_doc, "--velocity",
                              "T^2", "--subcomplex", "circle")
         assert (code, out) == (4, "")

@@ -11,6 +11,7 @@ from vanhom import (InvalidExcision, NotFaceClosed, Velocity,
                     attached_chain_complex, build_circle,
                     build_pinched_spheres, build_torus, excision_check,
                     les_check, relative_vanishing, vanishing_betti)
+from vanhom.vanishing import _class_rank
 
 F = Fraction
 
@@ -55,6 +56,36 @@ class TestPinchedPair:
         d = relative_vanishing(c, rates, circle, v).as_dict()
         assert d["relative"] == {"0": 0, "1": 0, "2": 0}
         assert d["exact"] is True
+
+
+class TestClassRank:
+    # hand-worked ranks of classes in Z/B; z1 and z2 are cycles of a path
+    # 0 - 1 - 2 written on its vertex keys
+    z1, z2 = {0: 1, 1: -1}, {1: 1, 2: -1}
+
+    def test_classes_counted_modulo_boundaries(self):
+        images = [{0: 1, 2: -1}, {1: 2, 2: -2}]  # z1 + z2 and 2 z2
+        assert _class_rank(images, [], [self.z1, self.z2], "f") == 2
+        assert _class_rank(images, [self.z1], [self.z1, self.z2], "f") == 1
+
+    def test_non_unit_coefficient(self):
+        # z bounds twice: over the integers its class has order 2 (as the
+        # circle of RP^2), over the rationals it is zero
+        z = self.z1
+        assert _class_rank([z], [{0: 2, 1: -2}], [z], "f") == 0
+        assert _class_rank([z], [], [z], "f") == 1
+
+    def test_image_that_is_not_a_cycle_raises(self):
+        with pytest.raises(AssertionError) as info:
+            _class_rank([{0: 1}], [], [self.z1], "image is not a cycle")
+        assert info.value.args == ("image is not a cycle",)
+
+    def test_boundaries_outside_the_chains_raise(self):
+        chains = [{0: 1}, {1: 1}]
+        assert _class_rank([], [self.z1], chains, "f") == 0
+        with pytest.raises(AssertionError) as info:
+            _class_rank([], [{2: 1}], chains, "not closed")
+        assert info.value.args == ("not closed",)
 
 
 class TestEdgeCases:
