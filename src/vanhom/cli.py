@@ -79,11 +79,13 @@ def _parse_degrees(text, c):
     if text is None:
         return None
     lo, sep, hi = text.partition("..")
+    hi = hi if sep else lo
     try:
-        degrees = range(int(lo), int(hi if sep else lo) + 1)
+        degrees = range(int(lo), int(hi) + 1)
     except ValueError:
         degrees = range(0)
-    if not (degrees and 0 <= degrees[0] and degrees[-1] <= max(c.dim, 0)):
+    if not (ID_TEXT.fullmatch(lo) and ID_TEXT.fullmatch(hi) and degrees
+            and 0 <= degrees[0] and degrees[-1] <= max(c.dim, 0)):
         raise ValueError(f"bad --degrees {text!r}")
     return degrees
 
@@ -229,8 +231,9 @@ def _cmd_example(args) -> int:
     return 0
 
 
-_DEGREES_HELP = ("one degree or a range lo..hi like 0..2, "
-                 "with 0 <= lo <= hi <= the top cell dimension")
+_DEGREES_HELP = ("one degree or a range lo..hi like 0..2: decimal integers "
+                 "without sign or leading zeros, with 0 <= lo <= hi <= the "
+                 "top cell dimension")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ Nothing here is a numerical estimate; there are two exact routes.
   dimension, map rank and check is a rank of their integer chains.
 
 * The oracle route works with chain subspaces: sparse chains with
-  Fraction entries, kept as reduced echelon bases by :class:`Subspace`,
+  Fraction entries, kept as echelon bases by :class:`Subspace`,
   which makes dimensions, sums, intersections, kernels and preimages
   cheap and deterministic.  Only the chain-subspace oracle is built on
   it, independently of the engine route.
@@ -28,6 +28,7 @@ Nothing here is a numerical estimate; there are two exact routes.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -71,11 +72,12 @@ def _add_scaled(target: Chain, coeff: Fraction, source: Chain) -> Chain:
 
 
 class _Eliminator:
-    """Incremental reduced echelon form over sparse Fraction vectors.
+    """Incremental echelon form over sparse Fraction vectors.
 
-    Rows are kept fully reduced with pivot coefficient one, ordered by
-    pivot key; combination tracking ties every row back to the input
-    vectors, which yields kernels for free.
+    Each row's lowest key is its pivot, with coefficient one, and rows are
+    kept ordered by pivot, so reducing a vector against them in that order
+    clears every pivot key; combination tracking ties every row back to the
+    input vectors, which yields kernels for free.
     """
 
     def __init__(self, track: bool = False):
@@ -110,17 +112,8 @@ class _Eliminator:
         vec = {k: v * scale for k, v in vec.items()}
         if combo is not None:
             combo = {k: v * scale for k, v in combo.items()}
-        updated = []
-        for p, bvec, bcombo in self.rows:
-            c = bvec.get(pivot)
-            if c:
-                bvec = _add_scaled(bvec, -c, vec)
-                if bcombo is not None:
-                    bcombo = _add_scaled(bcombo, -c, combo)
-            updated.append((p, bvec, bcombo))
-        updated.append((pivot, vec, combo))
-        updated.sort(key=lambda row: row[0])
-        self.rows = updated
+        # pivots are distinct, so the tuples never compare their dicts
+        insort(self.rows, (pivot, vec, combo))
         return None
 
     @property
@@ -157,7 +150,7 @@ def kernel_basis(vectors: Sequence[Chain]) -> List[Chain]:
 
 
 class Subspace:
-    """A subspace of a chain space, held as a reduced echelon basis."""
+    """A subspace of a chain space, held as an echelon basis."""
 
     def __init__(self, vectors: Iterable[Chain] = ()):
         self._elim = _Eliminator()

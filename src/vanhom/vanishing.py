@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cells import CellComplex, CellSet
-from .homology import (Graded, IntColumn, Subspace, _boundary_columns,
+from .homology import (Chain, Graded, IntColumn, Subspace, _boundary_columns,
                        _combine, _image_dims, _integer_reduce, _pivot_levels,
                        _require_face_closed, chain_boundary, rank_of,
                        restrict_chain, unit_chains)
@@ -107,7 +107,7 @@ class ChainSubspaceComplex:
     """A chain complex carved out of a cell complex by chain subspaces.
 
     One subspace of the degree-j chain space per degree; the boundary
-    operator must map each into the one below (checked, not assumed).
+    operator must map each into the one below, and homology_dims checks it.
     """
 
     def __init__(self, c: CellComplex, spaces: Dict[int, Subspace]):
@@ -117,24 +117,23 @@ class ChainSubspaceComplex:
     def space(self, j: int) -> Subspace:
         return self.spaces.get(j, Subspace())
 
-    def assert_boundary_closed(self):
-        for j, space in sorted(self.spaces.items()):
-            if j < 1:
-                continue
-            below = self.space(j - 1)
-            images = [chain_boundary(self.complex, vec)
-                      for vec in space.basis()]
-            if rank_of(below.basis() + images) != below.dim:
+    def assert_boundary_closed(self) -> Dict[int, List[Chain]]:
+        """Check the boundary images of each space against the rows the
+        space below already holds; returns the images by degree."""
+        images = {j: [chain_boundary(self.complex, x) for x in space.basis()]
+                  for j, space in sorted(self.spaces.items()) if j >= 1}
+        for j, chains in images.items():
+            if not all(self.space(j - 1).contains(x) for x in chains):
                 raise AssertionError(
                     f"degree-{j} subspace is not closed under the boundary")
+        return images
 
     def homology_dims(self) -> Dict[int, int]:
-        """dim ker - dim im per degree, degrees 0..top."""
+        """dim ker - dim im per degree, degrees 0..top; checks closure."""
         top = max(self.spaces, default=-1)
         # rank d on each degree: its out rank, and the in rank one below
-        ranks = {j: rank_of(chain_boundary(self.complex, vec)
-                            for vec in self.space(j).basis())
-                 for j in range(1, top + 1)}
+        ranks = {j: rank_of(chains)
+                 for j, chains in self.assert_boundary_closed().items()}
         return {j: self.space(j).dim - ranks.get(j, 0) - ranks.get(j + 1, 0)
                 for j in range(top + 1)}
 
@@ -167,9 +166,7 @@ def vanishing_betti_oracle(c: CellComplex, a: RateAnnotation,
     """Vanishing homology dimensions via the thin chain subcomplex."""
     if c.dim < 0:
         return VanishingBettiTable(v, {0: 0}, 0)
-    prime = thin_chain_complex(c, a, v)
-    prime.assert_boundary_closed()
-    dims = prime.homology_dims()
+    dims = thin_chain_complex(c, a, v).homology_dims()
     return VanishingBettiTable(v, dims, _euler_from_dims(dims))
 
 
@@ -324,6 +321,9 @@ def _class_rank(images: List[IntColumn], bounds: List[IntColumn],
     checked too: for Q on its own, for A and P it is dd = 0, which the
     public pair functions take as a precondition of the complex (validate
     checks it).  With no images this is a containment check of B alone.
+
+    With a chain space C as both B and Z, the rank of the images' classes
+    in C/C checks closure: C is reduced first and the images against it.
     """
     pivots, _ = _integer_reduce(bounds + images + cycles)
     if len(pivots) != len(cycles):
@@ -388,7 +388,7 @@ class _Pair:
                 bounds[j - 1], cycles[j] = _image_and_kernel(
                     spaces[j], [bd(x) for x in spaces[j]])
                 if j:
-                    _class_rank([], bounds[j - 1], spaces[j - 1],
+                    _class_rank(bounds[j - 1], spaces[j - 1], spaces[j - 1],
                                 self._failure(f"{name} chains are not closed "
                                               f"under the boundary", j))
             bounds[d] = []

@@ -98,7 +98,9 @@ class TestCompute:
         assert (code, out) == (0, "0\n")
 
     @pytest.mark.parametrize("degrees", ["0..1000", "-1", "3..1", "3",
-                                         "1..", "..2", "0..1..2", "x"])
+                                         "1..", "..2", "0..1..2", "x",
+                                         "\u0661", "0_1", "+1", " 1", "1 ",
+                                         "01", "0..02", "-0", "1..+2"])
     def test_bad_degrees(self, torus_doc, capsys, degrees):
         code, out, err = run(capsys, "compute", torus_doc,
                              "--velocity", "T^2", "--degrees", degrees)
@@ -128,7 +130,8 @@ class TestSweep:
                        "1\t(0, 2]\t1\n"
                        "1\t(2, inf)\t0\n")
 
-    @pytest.mark.parametrize("degrees", ["0..1000", "-1", "3..1"])
+    @pytest.mark.parametrize("degrees", ["0..1000", "-1", "3..1", "\u0661",
+                                         "0_1", "+1", " 1", "01"])
     def test_bad_degrees(self, torus_doc, capsys, degrees):
         code, out, err = run(capsys, "sweep", torus_doc, "--degrees", degrees)
         assert (code, out) == (1, "")

@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from vanhom import (INF, Cell, CellComplex, NotFaceClosed, Velocity, betti,
-                    build_circle, build_pinched_spheres, build_torus,
+from vanhom import (INF, Cell, CellComplex, ChainSubspaceComplex,
+                    NotFaceClosed, Subspace, Velocity, betti, build_circle,
+                    build_pinched_spheres, build_torus, chain_boundary,
                     critical_rates, disjoint_union, filtration, image_betti,
-                    sweep, thin_chain_complex, vanishing_betti,
-                    vanishing_betti_oracle, vanishing_euler)
+                    is_thin, sweep, thin_chain_complex, vanishing,
+                    vanishing_betti, vanishing_betti_oracle, vanishing_euler)
 
 F = Fraction
 
@@ -226,6 +227,36 @@ class TestThinChainComplex:
         assert cc.space(1).dim == 24
         assert cc.space(2).dim == 18
         assert cc.space(3).dim == 0
+
+    @pytest.mark.parametrize("method", ["assert_boundary_closed",
+                                        "homology_dims"])
+    def test_edge_without_its_endpoints_is_not_closed(self, method):
+        # the edge's boundary 1 - 0 is not in the empty degree-0 space
+        c = CellComplex([Cell(0, 0), Cell(1, 0),
+                         Cell(2, 1, ((-1, 0), (1, 1)))])
+        cc = ChainSubspaceComplex(c, {0: Subspace(),
+                                      1: Subspace([{2: F(1)}])})
+        with pytest.raises(AssertionError) as info:
+            getattr(cc, method)()
+        assert str(info.value) == (
+            "degree-1 subspace is not closed under the boundary")
+
+    def test_oracle_takes_each_boundary_once(self, monkeypatch):
+        # building takes d of each thin cell of positive dimension, the
+        # check and the ranks share d of each basis vector of degree >= 1
+        c, rates = build_torus(0, 2, 3)
+        v = Velocity(F(2))
+        cc = thin_chain_complex(c, rates, v)
+        calls = []
+
+        def counted(c, chain):
+            calls.append(chain)
+            return chain_boundary(c, chain)
+        monkeypatch.setattr(vanishing, "chain_boundary", counted)
+        vanishing_betti_oracle(c, rates, v)
+        thin = sum(1 for cell in c.cells() if cell.dim
+                   and is_thin(c, rates, cell.id, v))
+        assert len(calls) == thin + sum(cc.space(j).dim for j in (1, 2))
 
     def test_homology_of_the_thin_complex_is_the_oracle(self):
         c, rates = build_torus(0, 2, 3)
