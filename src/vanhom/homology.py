@@ -15,9 +15,11 @@ Nothing here is a numerical estimate; there are two exact routes.
   pivots of one level-ordered reduction per boundary matrix
   (:func:`_pivot_levels`).  The pair theory in :mod:`vanhom.vanishing` is
   the short exact sequence 0 -> A -> P -> Q -> 0 of chain complexes; one
-  such elimination per complex and degree gives the cycles (kernel
-  combinations) and the boundaries (independent images), and every
-  dimension, map rank and check is a rank of their integer chains.
+  such elimination per complex and degree, top-down, of the boundaries of
+  a complement of the boundaries found so far gives the boundaries one
+  degree down (independent images) and one cycle per vanishing class
+  (kernel combinations), and every dimension, map rank and check is a
+  rank of their integer chains.
 
 * The oracle route works with chain subspaces: sparse chains with
   Fraction entries, kept as echelon bases by :class:`Subspace`,
@@ -253,7 +255,8 @@ def _sub_scaled(a: int, col: IntColumn, b: int,
     return out
 
 
-def _integer_reduce(columns: Iterable[IntColumn], kernel: bool = False
+def _integer_reduce(columns: Iterable[IntColumn], kernel: bool = False,
+                    echelon: Optional[Dict[int, IntColumn]] = None
                     ) -> Tuple[Dict[int, int], List[IntColumn]]:
     """Fraction-free elimination of sparse integer columns.
 
@@ -274,6 +277,11 @@ def _integer_reduce(columns: Iterable[IntColumn], kernel: bool = False
     span the kernel.  A column only takes in earlier ones, so the pivots
     among the first k columns with keys below m count the rank of that
     block.
+
+    With a dict as ``echelon``, the reduced pivot columns are also stored
+    in it as {pivot key: column}, in input order: an echelon basis of the
+    span, each column led by its own lowest key.  The pivot keys are the
+    lowest keys of the span's nonzero chains, whatever the input order.
     """
     pivots: Dict[int, Tuple[IntColumn, Optional[IntColumn]]] = {}
     independent: Dict[int, int] = {}
@@ -303,6 +311,8 @@ def _integer_reduce(columns: Iterable[IntColumn], kernel: bool = False
             # the column ran out: its combination is a kernel vector
             if combo is not None:
                 kernels.append(combo)
+    if echelon is not None:
+        echelon.update((low, col) for low, (col, _) in pivots.items())
     return independent, kernels
 
 

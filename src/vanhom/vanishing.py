@@ -23,11 +23,12 @@ relative complex, with boundary pi o d).  The attached, absolute and
 relative groups are the homology of A, P and Q, and the long exact
 sequence connects them.  Excision drops a set W from the interior of S
 without changing the relative groups.  It runs on the integer kernel of
-:mod:`vanhom.homology`: each space is an independent set of integer
-chains, every dimension is a count of cycles less boundaries, and one
-reduction per map of the long exact sequence gives its rank and checks
-that its images are cycles.  Only the oracle side (the chain-subspace
-complexes and :func:`vanishing_betti_oracle`) uses :class:`Subspace`.
+:mod:`vanhom.homology`: each complex's cycles are its boundaries plus one
+representative per vanishing class, every dimension is a count of them,
+and one reduction per map of the long exact sequence gives its rank and
+checks that its images are cycles.  Only the oracle side (the
+chain-subspace complexes and :func:`vanishing_betti_oracle`) uses
+:class:`Subspace`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .cells import CellComplex, CellSet
 from .homology import (Chain, Graded, IntColumn, Subspace, _boundary_columns,
                        _combine, _image_dims, _integer_reduce, _pivot_levels,
                        _require_face_closed, chain_boundary, rank_of,
-                       restrict_chain, unit_chains)
+                       unit_chains)
 from .puiseux import INF, Velocity
 from .thinness import RateAnnotation, critical_rates, is_thin, rate_of
 
@@ -290,23 +291,9 @@ def attached_chain_complex(c: CellComplex, a: RateAnnotation, sub: CellSet,
     is the piece of the ambient thin complex that the pair quotients away.
     """
     pair = _Pair(c, a, sub, v)
-    return ChainSubspaceComplex(c, {j: Subspace(pair.attached[j])
-                                    for j in pair.degrees})
-
-
-def _independent(columns: List[IntColumn]) -> List[IntColumn]:
-    """An independent subset of the columns with the same span."""
-    independent, _ = _integer_reduce(columns)
-    return [columns[i] for i in independent]
-
-
-def _image_and_kernel(basis: List[IntColumn], images: List[IntColumn]
-                      ) -> Tuple[List[IntColumn], List[IntColumn]]:
-    """A linear map given by the images of an independent basis: an
-    independent subset of the images (spanning the map's image) and the
-    independent basis combinations whose images vanish (its kernel)."""
-    independent, combos = _integer_reduce(images, kernel=True)
-    return [images[i] for i in independent], _combine(basis, combos)
+    return ChainSubspaceComplex(c, {
+        j: Subspace(map(pair.cell_chain, pair.chains["attached"][j].values()))
+        for j in pair.degrees})
 
 
 def _class_rank(images: List[IntColumn], bounds: List[IntColumn],
@@ -317,10 +304,8 @@ def _class_rank(images: List[IntColumn], bounds: List[IntColumn],
     reduction of bounds + images + cycles gives both: the pivots among its
     first |B| + |images| columns count rank(B and images) (a prefix, see
     _integer_reduce), and it has |Z| pivots exactly when B and the images
-    lie in Z; otherwise it raises AssertionError(failure).  B in Z is then
-    checked too: for Q on its own, for A and P it is dd = 0, which the
-    public pair functions take as a precondition of the complex (validate
-    checks it).  With no images this is a containment check of B alone.
+    lie in Z; otherwise it raises AssertionError(failure).  With no bounds
+    and no cycles it checks that every image is zero.
 
     With a chain space C as both B and Z, the rank of the images' classes
     in C/C checks closure: C is reduced first and the images against it.
@@ -345,13 +330,19 @@ class _Pair:
     * relative: Q_j = pi(P_j), with boundary pi o d.  Q is P/A, and pi
       commutes with d because the chains on S form a subcomplex.
 
-    Each space is held as an independent integer spanning set.  One loop
-    takes the cycles Z_j and boundaries B_j of all three complexes, and each
-    group's dimension is |Z_j| - |B_j|.  Each map of the long exact
-    sequence and each closure check is one reduction (_class_rank) that
-    gives the map's rank and checks its images against the target; a check
-    that fails raises AssertionError naming the check, the degree and the
-    velocity.
+    Chains are keyed with the cells outside S first, so pi keeps the keys
+    below ``split``.  One reduction of P_j's generators gives an echelon
+    basis of it (each chain led by its own lowest key); its chains led by
+    a key in S span A_j, and the projections of the others span Q_j.
+
+    Cycles are boundaries plus one representative per class, top-down:
+    the chains of C_j led by a key that B_j does not lead span a
+    complement W_j of B_j, and dC_j = dW_j since dB_j = 0.  One reduction
+    of dW_j gives B_(j-1) (its independent images, and their leading
+    keys) and the representatives R_j (its kernel combinations of W_j),
+    and Z_j = B_j + R_j.  Each map of the long exact sequence and each
+    check is one reduction (_class_rank); a failed check raises
+    AssertionError naming the check, the degree and the velocity.
     """
 
     def __init__(self, c: CellComplex, a: RateAnnotation, sub: CellSet,
@@ -359,49 +350,69 @@ class _Pair:
         sub = frozenset(sub)
         _require_face_closed(c, sub, "subcomplex")
         self.velocity = v
-        self.outside = c.cell_ids() - sub
+        self.cells = sorted(c.cell_ids() - sub) + sorted(sub)
+        self.split = len(self.cells) - len(sub)
+        key = {cid: k for k, cid in enumerate(self.cells)}
+        faces = [{key[face]: k for face, k in col.items()}
+                 for col in _boundary_columns(c, self.cells)]
         d = max(c.dim, 0)
         self.degrees = range(d + 1)
-        thin = {j: _thin_ids(c, a, v, j) for j in range(d + 2)}
-        prime, attached, quotient = {}, {}, {}
+        thin = {j: [key[cid] for cid in _thin_ids(c, a, v, j)]
+                for j in range(d + 2)}
+        # each space C_j as an echelon basis {lowest key: chain}
+        chains = self.chains = {"absolute": {}, "attached": {},
+                                "relative": {}}
         for j in self.degrees:
-            prime[j] = _independent([{cid: 1} for cid in thin[j]]
-                                    + _boundary_columns(c, thin[j + 1]))
-            quotient[j], attached[j] = _image_and_kernel(
-                prime[j], [self.project(x) for x in prime[j]])
-        self.attached = attached
+            prime = chains["absolute"][j] = {}
+            _integer_reduce([{k: 1} for k in thin[j]]
+                            + [faces[k] for k in thin[j + 1]], echelon=prime)
+            chains["attached"][j] = {low: x for low, x in prime.items()
+                                     if low >= self.split}
+            chains["relative"][j] = {low: self.project(x)
+                                     for low, x in prime.items()
+                                     if low < self.split}
+        relative_faces = [self.project(col) for col in faces]
 
-        def boundary(x):
-            return chain_boundary(c, x)
-
-        def relative_boundary(x):
-            return self.project(chain_boundary(c, x))
-
-        self.cycles: Dict[str, Dict[int, List[IntColumn]]] = {}
+        self.reps: Dict[str, Dict[int, List[IntColumn]]] = {}
         self.bounds: Dict[str, Dict[int, List[IntColumn]]] = {}
         self.dims: Dict[str, Dict[int, int]] = {}
-        for name, spaces, bd in (("absolute", prime, boundary),
-                                 ("attached", attached, boundary),
-                                 ("relative", quotient, relative_boundary)):
-            cycles, bounds = {}, {}
-            for j in self.degrees:
-                bounds[j - 1], cycles[j] = _image_and_kernel(
-                    spaces[j], [bd(x) for x in spaces[j]])
+        for name, bd in (("absolute", faces), ("attached", faces),
+                         ("relative", relative_faces)):
+            spaces = chains[name]
+            reps, bounds, leads = {}, {d: []}, {d: {}}
+            for j in reversed(self.degrees):
+                free = [x for low, x in spaces[j].items()
+                        if low not in leads[j]]
+                images = _combine(bd, free)
+                leads[j - 1] = {}
+                independent, combos = _integer_reduce(
+                    images, kernel=True, echelon=leads[j - 1])
+                bounds[j - 1] = [images[i] for i in independent]
+                reps[j] = _combine(free, combos)
                 if j:
-                    _class_rank(bounds[j - 1], spaces[j - 1], spaces[j - 1],
+                    below = list(spaces[j - 1].values())
+                    _class_rank(bounds[j - 1], below, below,
                                 self._failure(f"{name} chains are not closed "
                                               f"under the boundary", j))
-            bounds[d] = []
-            self.cycles[name], self.bounds[name] = cycles, bounds
-            self.dims[name] = {j: len(cycles[j]) - len(bounds[j])
-                               for j in self.degrees}
+            if name == "absolute":
+                # B(P_j) meets C(S) in the span of its echelon columns led
+                # by a key in S: the boundaries in P_j that pi kills
+                self.lifts = {j: [x for low, x in echelon.items()
+                                  if low >= self.split]
+                              for j, echelon in leads.items()}
+            self.reps[name], self.bounds[name] = reps, bounds
+            self.dims[name] = {j: len(reps[j]) for j in self.degrees}
         for j in self.degrees:
-            _class_rank([], self.bounds["relative"][j],
-                        self.cycles["relative"][j], self._failure(
+            _class_rank(_combine(relative_faces, self.bounds["relative"][j]),
+                        [], [], self._failure(
                             "relative boundary is not a relative cycle", j))
 
     def project(self, x: IntColumn) -> IntColumn:
-        return restrict_chain(x, self.outside)
+        return {k: coeff for k, coeff in x.items() if k < self.split}
+
+    def cell_chain(self, x: IntColumn) -> IntColumn:
+        """A keyed chain written on cell ids."""
+        return {self.cells[k]: coeff for k, coeff in x.items()}
 
     def _failure(self, what: str, j: int) -> str:
         return f"degree-{j} {what} at {self.velocity}"
@@ -418,26 +429,23 @@ class _Pair:
 
         The composite of the two maps at a node vanishes by construction,
         so a node is exact when rank_in + rank_out = dim: L_j is built from
-        combinations of B(P_j), so incl after conn is zero; pi kills every
-        chain of A, so quot after incl is zero; and an absolute cycle is its
-        own lift and has no boundary, so conn after quot is zero.
+        B(P_j), so incl after conn is zero; pi kills every chain of A, so
+        quot after incl is zero; and an absolute cycle is its own lift and
+        has no boundary, so conn after quot is zero.
         """
-        za, zp, zq = (self.cycles[name]
-                      for name in ("attached", "absolute", "relative"))
-        ba, bp, bq = (self.bounds[name]
-                      for name in ("attached", "absolute", "relative"))
-        lifts = {-1: []}
+        names = ("attached", "absolute", "relative")
+        ba, bp, bq = (self.bounds[name] for name in names)
+        za, zp, zq = ({j: self.bounds[name][j] + self.reps[name][j]
+                       for j in self.degrees} for name in names)
         incl, quot, conn = {}, {}, {}
         for j in self.degrees:
-            _, lifts[j] = _image_and_kernel(
-                bp[j], [self.project(x) for x in bp[j]])
             incl[j] = _class_rank(za[j], bp[j], zp[j], self._failure(
                 "attached cycle is not an absolute cycle", j))
             quot[j] = _class_rank(
                 [self.project(x) for x in zp[j]], bq[j], zq[j], self._failure(
                     "absolute cycle is not a relative cycle", j))
             conn[j] = _class_rank(
-                lifts[j - 1], ba[j - 1], za.get(j - 1, []), self._failure(
+                self.lifts[j - 1], ba[j - 1], za.get(j - 1, []), self._failure(
                     "relative cycle has a boundary that is not an attached "
                     "cycle", j))
         nodes = []
