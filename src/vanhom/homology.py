@@ -18,8 +18,8 @@ Nothing here is a numerical estimate; there are two exact routes.
   such elimination per complex and degree, top-down, of the boundaries of
   a complement of the boundaries found so far gives the boundaries one
   degree down (independent images) and one cycle per vanishing class
-  (kernel combinations), and every dimension, map rank and check is a
-  rank of their integer chains.
+  (kernel combinations); every dimension counts those cycles, and every
+  map rank and check reduces boundaries, images and those cycles once.
 
 * The oracle route works with chain subspaces: sparse chains with
   Fraction entries, kept as echelon bases by :class:`Subspace`,

@@ -23,12 +23,12 @@ relative complex, with boundary pi o d).  The attached, absolute and
 relative groups are the homology of A, P and Q, and the long exact
 sequence connects them.  Excision drops a set W from the interior of S
 without changing the relative groups.  It runs on the integer kernel of
-:mod:`vanhom.homology`: each complex's cycles are its boundaries plus one
-representative per vanishing class, every dimension is a count of them,
-and one reduction per map of the long exact sequence gives its rank and
-checks that its images are cycles.  Only the oracle side (the
-chain-subspace complexes and :func:`vanishing_betti_oracle`) uses
-:class:`Subspace`.
+:mod:`vanhom.homology`: each complex's cycles are its boundaries B plus
+one representative per vanishing class R, every dimension is |R|, and
+each map of the long exact sequence is one reduction of the target's B,
+the images and the target's R, which gives its rank and checks that its
+images are cycles.  Only the oracle side (the chain-subspace complexes
+and :func:`vanishing_betti_oracle`) uses :class:`Subspace`.
 """
 
 from __future__ import annotations
@@ -139,6 +139,7 @@ class ChainSubspaceComplex:
                 for j in range(top + 1)}
 
 
+# the oracle picks its thin cells here, independently of the engine's _graded
 def _thin_ids(c: CellComplex, a: RateAnnotation, v: Velocity,
               j: int) -> List[int]:
     return [cell.id for cell in c.cells_of_dim(j)
@@ -297,21 +298,19 @@ def attached_chain_complex(c: CellComplex, a: RateAnnotation, sub: CellSet,
 
 
 def _class_rank(images: List[IntColumn], bounds: List[IntColumn],
-                cycles: List[IntColumn], failure: str) -> int:
+                reps: List[IntColumn], failure: str) -> int:
     """The rank of the images' classes in Z/B, once they are known cycles.
 
-    bounds and cycles are independent spanning sets of B and Z.  One
-    reduction of bounds + images + cycles gives both: the pivots among its
-    first |B| + |images| columns count rank(B and images) (a prefix, see
-    _integer_reduce), and it has |Z| pivots exactly when B and the images
-    lie in Z; otherwise it raises AssertionError(failure).  With no bounds
-    and no cycles it checks that every image is zero.
-
-    With a chain space C as both B and Z, the rank of the images' classes
-    in C/C checks closure: C is reduced first and the images against it.
+    bounds spans B, and bounds plus reps, independent together, span Z.
+    One reduction of bounds + images + reps gives both: the pivots among
+    its first |B| + |images| columns count rank(B and images) (a prefix,
+    see _integer_reduce), and it has |B| + |reps| pivots exactly when the
+    images lie in Z; otherwise it raises AssertionError(failure).  With a
+    chain space as bounds and no reps it checks that the images lie in
+    it, and with no bounds and no reps that every image is zero.
     """
-    pivots, _ = _integer_reduce(bounds + images + cycles)
-    if len(pivots) != len(cycles):
+    pivots, _ = _integer_reduce(bounds + images + reps)
+    if len(pivots) != len(bounds) + len(reps):
         raise AssertionError(failure)
     prefix = len(bounds) + len(images)
     return sum(index < prefix for index in pivots) - len(bounds)
@@ -341,8 +340,9 @@ class _Pair:
     of dW_j gives B_(j-1) (its independent images, and their leading
     keys) and the representatives R_j (its kernel combinations of W_j),
     and Z_j = B_j + R_j.  Each map of the long exact sequence and each
-    check is one reduction (_class_rank); a failed check raises
-    AssertionError naming the check, the degree and the velocity.
+    check is one reduction (_class_rank) of B, the images and R, each set
+    once; a failed check raises AssertionError naming the check, the
+    degree and the velocity.
     """
 
     def __init__(self, c: CellComplex, a: RateAnnotation, sub: CellSet,
@@ -357,8 +357,9 @@ class _Pair:
                  for col in _boundary_columns(c, self.cells)]
         d = max(c.dim, 0)
         self.degrees = range(d + 1)
-        thin = {j: [key[cid] for cid in _thin_ids(c, a, v, j)]
-                for j in range(d + 2)}
+        graded = _graded(c, a, lambda rate: int(v.contains_rate(rate)))
+        thin = [[key[cid] for level, cid in cells if level == 1]
+                for cells in graded] + [[]]
         # each space C_j as an echelon basis {lowest key: chain}
         chains = self.chains = {"absolute": {}, "attached": {},
                                 "relative": {}}
@@ -391,9 +392,8 @@ class _Pair:
                 reps[j] = _combine(free, combos)
                 if j:
                     below = list(spaces[j - 1].values())
-                    _class_rank(bounds[j - 1], below, below,
-                                self._failure(f"{name} chains are not closed "
-                                              f"under the boundary", j))
+                    _class_rank(bounds[j - 1], below, [], self._failure(
+                        f"{name} chains are not closed under the boundary", j))
             if name == "absolute":
                 # B(P_j) meets C(S) in the span of its echelon columns led
                 # by a key in S: the boundaries in P_j that pi kills
@@ -425,7 +425,8 @@ class _Pair:
         over B(P_j), quot_j through pi Z(P_j) over B(Q_j), conn_j through
         L_(j-1) over B(A_(j-1)), where L_j, the boundaries in P_j that pi
         kills, are the boundaries of lifts of relative cycles.  One
-        reduction per map gives its rank and checks its images are cycles.
+        reduction of the target's B, the images and the target's R per map
+        gives its rank and checks its images are cycles.
 
         The composite of the two maps at a node vanishes by construction,
         so a node is exact when rank_in + rank_out = dim: L_j is built from
@@ -435,17 +436,16 @@ class _Pair:
         """
         names = ("attached", "absolute", "relative")
         ba, bp, bq = (self.bounds[name] for name in names)
-        za, zp, zq = ({j: self.bounds[name][j] + self.reps[name][j]
-                       for j in self.degrees} for name in names)
+        ra, rp, rq = (self.reps[name] for name in names)
         incl, quot, conn = {}, {}, {}
         for j in self.degrees:
-            incl[j] = _class_rank(za[j], bp[j], zp[j], self._failure(
+            incl[j] = _class_rank(ba[j] + ra[j], bp[j], rp[j], self._failure(
                 "attached cycle is not an absolute cycle", j))
             quot[j] = _class_rank(
-                [self.project(x) for x in zp[j]], bq[j], zq[j], self._failure(
-                    "absolute cycle is not a relative cycle", j))
+                [self.project(x) for x in bp[j] + rp[j]], bq[j], rq[j],
+                self._failure("absolute cycle is not a relative cycle", j))
             conn[j] = _class_rank(
-                self.lifts[j - 1], ba[j - 1], za.get(j - 1, []), self._failure(
+                self.lifts[j - 1], ba[j - 1], ra.get(j - 1, []), self._failure(
                     "relative cycle has a boundary that is not an attached "
                     "cycle", j))
         nodes = []
