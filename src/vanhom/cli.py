@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .cells import InvalidComplex, NotFaceClosed, NotNested
 from .cells import build_circle, build_pinched_spheres, build_torus
-from .document import (ID_TEXT, DocumentError, document_dict,
+from .document import (ID_TEXT, DocumentError, _fraction, document_dict,
                        document_problems, dumps_document, load_document)
 from .puiseux import (INF, IndeterminateAtPrecision, SeriesParseError,
                       parse_velocity)
@@ -53,7 +53,7 @@ def _precision_cap():
     if text is None:
         return None
     try:
-        return Fraction(text)
+        return _fraction(text)
     except (ValueError, ZeroDivisionError):
         raise SeriesParseError(f"bad VANHOM_PRECISION {text!r}") from None
 
@@ -203,7 +203,7 @@ def _cmd_excise(args) -> int:
 
 def _rational(text: str, flag: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad {flag} {text!r}") from None
 

@@ -7,6 +7,13 @@ giving truncated Puiseux coordinates for every vertex.  Cells may take
 their rate directly from the ``rate`` field or have it derived from the
 geometry; an explicit rate wins over geometry, with a warning.
 
+Loading reads each piece a document shares once: each distinct
+coordinate text is parsed once and the precision cap read once, so equal
+texts share one frozen series, and the vertex support of every cell comes
+from its faces' supports in one pass up the dimensions.  Rates and the
+precision cap are rational text, read without the '_' digit separators
+that Fraction takes from Python 3.11 on.
+
 Writing is canonical and byte-stable: cells sorted by id, keys sorted,
 rates as exact fraction strings.
 """
@@ -17,6 +24,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .cells import Cell, CellComplex, CellSet, validate, vertex_support
@@ -43,11 +51,22 @@ class ComplexDocument:
     warnings: List[str] = field(default_factory=list)
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), without the '_' digit separators of Python 3.11.
+
+    Fraction takes "1_0" as 10 from 3.11 on and rejects it on 3.10; it is
+    rejected on every version, so a document means the same everywhere.
+    """
+    if "_" in text:
+        raise ValueError(f"invalid literal for Fraction: {text!r}")
+    return Fraction(text)
+
+
 def _parse_rate(text) -> ExtRational:
     if text == "inf":
         return INF
     try:
-        return Fraction(str(text))
+        return _fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad rate {text!r}") from exc
 
@@ -77,9 +96,11 @@ def _cells_from_data(data: dict) -> CellComplex:
                 for pair in boundary):
             raise TypeError(
                 f"cell {cid}: boundary must list [coefficient, face] pairs")
-        boundary = tuple(
-            (_integer(k, f"cell {cid}: boundary coefficient"),
-             _integer(f, f"cell {cid}: face id")) for k, f in boundary)
+        boundary = tuple(map(tuple, boundary))
+        if not all(type(k) is int and type(f) is int for k, f in boundary):
+            boundary = tuple(
+                (_integer(k, f"cell {cid}: boundary coefficient"),
+                 _integer(f, f"cell {cid}: face id")) for k, f in boundary)
         cells.append(Cell(cid, _integer(item["dim"], f"cell {cid}: dim", 0),
                           boundary, item.get("label")))
     return CellComplex(cells)
@@ -93,6 +114,10 @@ def _geometry_from_data(block, precision_cap) -> GeometricComplex:
     vertices = block.get("vertices", {})
     if not isinstance(vertices, dict):
         raise TypeError("vertices must map vertex ids to coordinates")
+    cap = None if precision_cap is None else Fraction(precision_cap)
+    # grid rows and columns repeat their coordinates: parse each text once
+    # and let equal texts share one (frozen) series
+    parsed: Dict[str, PuiseuxSeries] = {}
     for key, texts in vertices.items():
         # only the canonical form, so no two keys name one vertex
         if not ID_TEXT.fullmatch(key):
@@ -102,15 +127,41 @@ def _geometry_from_data(block, precision_cap) -> GeometricComplex:
                 and all(isinstance(text, str) for text in texts)):
             raise TypeError(
                 f"vertex {key}: expected a list of {ambient} series strings")
-        point = []
         for text in texts:
-            s = parse_series(text)
-            if precision_cap is not None:
-                s = s.truncate(Fraction(precision_cap))
-            point.append(s)
-        coords[int(key)] = tuple(point)
+            if text not in parsed:
+                s = parse_series(text)
+                parsed[text] = s if cap is None else s.truncate(cap)
+        coords[int(key)] = tuple(parsed[text] for text in texts)
     return GeometricComplex(ambient_dim=ambient, vertices=coords,
                             simplices=[])
+
+
+def _vertex_supports(c: CellComplex) -> Dict[int, Optional[CellSet]]:
+    """The vertex ids under every cell, in one pass up the dimensions.
+
+    A vertex is its own support, and any other cell's is the union of its
+    faces' supports.  A cell with a face that is not a known cell of
+    lower dimension breaks the complex laws, which validate reports: its
+    support is read off its face closure instead, which ends on any face
+    graph, and is None when an unknown face lies under the cell.
+    """
+    cells = sorted(c.cells(), key=attrgetter("dim"))
+    dims = {cell.id: cell.dim for cell in cells}
+    supports: Dict[int, Optional[CellSet]] = {}
+    for cell in cells:
+        faces = [f for _, f in cell.boundary]
+        if not all(dims.get(f, cell.dim) < cell.dim for f in faces):
+            try:
+                supports[cell.id] = vertex_support(c, cell.id)
+            except KeyError:
+                supports[cell.id] = None
+        elif cell.dim == 0:
+            supports[cell.id] = frozenset((cell.id,))
+        else:
+            below = [supports[f] for f in faces]
+            supports[cell.id] = (None if None in below
+                                 else frozenset().union(*below))
+    return supports
 
 
 def _read_document(data, precision_cap):
@@ -164,13 +215,16 @@ def _read_document(data, precision_cap):
                     problems.append(f"vertex {cell.id} has no coordinates")
 
     supports: Dict[int, List[int]] = {}
+    under = _vertex_supports(c) if geometry is not None else {}
     for cell in c.cells():
         if cell.dim == 0 or cell.id in rated:
             continue
         if geometry is None:
             problems.append(f"cell {cell.id} has no rate and no geometry")
             continue
-        support = supports[cell.id] = sorted(vertex_support(c, cell.id))
+        if under[cell.id] is None:
+            continue  # validate has named the unknown face
+        support = supports[cell.id] = sorted(under[cell.id])
         if len(support) != cell.dim + 1:
             problems.append(
                 f"cell {cell.id} is not a simplex; cannot rate it from geometry")

@@ -292,6 +292,16 @@ class TestGeometry:
         code, _, _ = run(capsys, "rates", path)
         assert code == 1
 
+    def test_unknown_face_is_reported(self, tmp_path, capsys):
+        data = edge_doc(geometry_vertex="T")
+        data["cells"][2]["boundary"] = [[-1, 0], [1, 7]]
+        path = write(tmp_path, "edge.json", data)
+        assert run(capsys, "validate", path) == (
+            1, "cell 2: unknown face 7\n", "")
+        for argv in (["rates"], ["compute", "--velocity", "T^1"]):
+            assert run(capsys, argv[0], path, *argv[1:]) == (
+                1, "", "error: cell 2: unknown face 7\n")
+
     def test_geometric_torus_matches_builder(self, tmp_path, torus_doc,
                                              capsys):
         g = helpers.geometric_torus()
@@ -329,6 +339,31 @@ class TestErrors:
         code, out, err = run(capsys, "example", which, flag, "1/0")
         assert (code, out) == (1, "")
         assert err == f"error: bad {flag} '1/0'\n"
+
+    # Fraction takes "_" between digits from Python 3.11 on, and 3.10
+    # does not; rational text means the same on every supported version
+    @pytest.mark.parametrize("text", ["1_0", "1/2_0"])
+    def test_digit_separators_in_a_rate(self, tmp_path, capsys, text):
+        path = write(tmp_path, "edge.json", edge_doc(rate=text))
+        code, out, _ = run(capsys, "validate", path)
+        assert (code, out) == (1, f"bad rate {text!r}\n")
+        assert run(capsys, "rates", path) == (
+            1, "", f"error: bad rate {text!r}\n")
+
+    @pytest.mark.parametrize("text", ["1_0", "1/2_0"])
+    def test_digit_separators_in_the_precision_cap(self, tmp_path, capsys,
+                                                   monkeypatch, text):
+        path = write(tmp_path, "edge.json", edge_doc())
+        monkeypatch.setenv("VANHOM_PRECISION", text)
+        assert run(capsys, "rates", path) == (
+            1, "", f"error: bad VANHOM_PRECISION {text!r}\n")
+
+    @pytest.mark.parametrize("which, flag", [("torus", "--p"),
+                                             ("torus", "--q"),
+                                             ("pinched", "--rate")])
+    def test_digit_separators_in_an_example_rate(self, capsys, which, flag):
+        assert run(capsys, "example", which, flag, "1_0") == (
+            1, "", f"error: bad {flag} '1_0'\n")
 
     def test_load_failure_on_structurally_bad_document(self, tmp_path,
                                                        capsys):
