@@ -8,31 +8,31 @@ relative theory for pairs, the induced long exact sequence, excision
 comparisons and velocity sweeps.
 """
 
+from types import ModuleType as _ModuleType
+
 from .puiseux import (INF, ONE, ZERO, ExtRational, IndeterminateAtPrecision,
                       PuiseuxSeries, SeriesParseError, Velocity, compare,
                       constant, format_series, format_velocity, parse_series,
                       parse_velocity, series, t_power, valuation,
                       velocity_contains)
 from .cells import (Cell, CellComplex, CellSet, InvalidComplex, NotFaceClosed,
-                    NotNested, SimplicialBuilder, ValidationReport,
-                    build_circle, build_pinched_spheres, build_torus,
-                    disjoint_union, validate, vertex_support)
-from .thinness import (DegenerateSimplex, Filtration, GeometricComplex,
-                       MissingRate, RateAnnotation, annotate_geometric,
-                       critical_rates, filtration, invariant_factor_valuations,
+                    SimplicialBuilder, ValidationReport, build_circle,
+                    build_pinched_spheres, build_torus, validate,
+                    vertex_support)
+from .thinness import (DegenerateSimplex, GeometricComplex, MissingRate,
+                       RateAnnotation, annotate_geometric, critical_rates,
                        is_thin, rate_of, simplex_rate, simplex_rates)
-from .homology import (Chain, Subspace, betti, boundary_space, chain_boundary,
-                       cycle_space, image_betti, kernel_basis, rank_of,
-                       restrict_chain, unit_chains)
+from .homology import Chain, Subspace, chain_boundary, rank_of, unit_chains
 from .vanishing import (ChainSubspaceComplex, ExcisionReport, InvalidExcision,
                         LesNode, LesReport, PairReport, SweepTable,
-                        VanishingBettiTable, attached_chain_complex,
-                        excision_check, les_check, relative_vanishing, sweep,
-                        thin_chain_complex, vanishing_betti,
-                        vanishing_betti_oracle, vanishing_euler)
+                        VanishingBettiTable, excision_check, les_check,
+                        relative_vanishing, sweep, thin_chain_complex,
+                        vanishing_betti, vanishing_betti_oracle)
 from .document import (ComplexDocument, DocumentError, document_dict,
                        document_problems, dumps_document, load_document)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here by their import, but are not API
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

@@ -26,10 +26,6 @@ class NotFaceClosed(ValueError):
     """A cell set omits a face of one of its members."""
 
 
-class NotNested(ValueError):
-    """Expected one cell set inside another."""
-
-
 class InvalidComplex(ValueError):
     """Incidence data violating the complex laws."""
 
@@ -126,11 +122,6 @@ class CellComplex:
             raise NotFaceClosed("cell set is not closed under faces")
         return CellComplex(self._cells[cid] for cid in sorted(s))
 
-    def require_nested(self, small: Iterable[int], big: Iterable[int]):
-        small, big = frozenset(small), frozenset(big)
-        if not small <= big:
-            raise NotNested("expected the first cell set inside the second")
-
 
 @dataclass
 class ValidationReport:
@@ -171,17 +162,6 @@ def validate(c: CellComplex) -> ValidationReport:
                     problems.append(
                         f"cell {cell.id}: double boundary does not cancel at {rid}")
     return ValidationReport(ok=not problems, problems=problems)
-
-
-def disjoint_union(a: CellComplex, b: CellComplex) -> CellComplex:
-    """Side-by-side union; b's ids are shifted above a's."""
-    shift = max(a.cell_ids(), default=-1) + 1
-    cells = list(a.cells())
-    for cell in b.cells():
-        cells.append(Cell(cell.id + shift, cell.dim,
-                          tuple((k, f + shift) for k, f in cell.boundary),
-                          cell.label))
-    return CellComplex(cells)
 
 
 # -- simplicial assembly -------------------------------------------------

@@ -14,11 +14,11 @@ Subcommands work on vanhom-complex/1 JSON documents:
 
 Exit codes: 0 on success, 1 for invalid input (bad document, bad velocity,
 missing rates), 2 when series truncation leaves an answer undetermined,
-3 for precondition violations (sets that are not face-closed, nested, or
-removable), 4 when an internal consistency check fails (a chain space not
-closed under the boundary, a pair-theory class that is not a class of the
-next group); the message names the check and, for the pair theory, the
-degree and the velocity.
+3 for precondition violations (a set that is not face-closed, or a cut
+that is not removable), 4 when an internal consistency check fails (a
+chain space not closed under the boundary, a pair-theory class that is
+not a class of the next group); the message names the check and, for the
+pair theory, the degree and the velocity.
 Output is deterministic byte for byte.
 """
 
@@ -31,21 +31,21 @@ import os
 import sys
 from fractions import Fraction
 
-from .cells import InvalidComplex, NotFaceClosed, NotNested
+from .cells import InvalidComplex, NotFaceClosed
 from .cells import build_circle, build_pinched_spheres, build_torus
 from .document import (ID_TEXT, DocumentError, _fraction, document_dict,
                        document_problems, dumps_document, load_document)
 from .puiseux import (INF, IndeterminateAtPrecision, SeriesParseError,
                       parse_velocity)
 from .thinness import DegenerateSimplex, MissingRate, rate_of
-from .vanishing import (InvalidExcision, excision_check, les_check,
-                        relative_vanishing, sweep, vanishing_betti,
+from .vanishing import (InvalidExcision, VanishingBettiTable, excision_check,
+                        les_check, relative_vanishing, sweep, vanishing_betti,
                         vanishing_betti_oracle)
 
 _INPUT_ERRORS = (DocumentError, SeriesParseError, InvalidComplex,
                  MissingRate, DegenerateSimplex, json.JSONDecodeError,
                  OSError, KeyError, ValueError)
-_PRECONDITION_ERRORS = (NotFaceClosed, NotNested, InvalidExcision)
+_PRECONDITION_ERRORS = (NotFaceClosed, InvalidExcision)
 
 
 def _precision_cap():
@@ -142,9 +142,7 @@ def _cmd_compute(args) -> int:
         for j in sorted(dims):
             print(f"{j}\t{dims[j]}")
     else:
-        _emit({"velocity": str(v),
-               "betti": {str(j): dims[j] for j in sorted(dims)},
-               "euler": table.euler})
+        _emit(VanishingBettiTable(v, dims, table.euler).as_dict())
     return 0
 
 

@@ -62,7 +62,12 @@ def _fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _parse_rate(text) -> ExtRational:
+def _parse_rate(text, cid: int) -> ExtRational:
+    # a JSON number with a fraction or an exponent arrives as a float,
+    # already rounded: take only rational text or a real int
+    if type(text) is not int and not isinstance(text, str):
+        raise DocumentError(f"cell {cid}: rate must be a string or an "
+                            f"integer, got {type(text).__name__} {text!r}")
     if text == "inf":
         return INF
     try:
@@ -199,7 +204,7 @@ def _read_document(data, precision_cap):
                 problems.append(f"vertex {cid} must not carry a rate")
                 continue
             try:
-                rated[cid] = _parse_rate(item["rate"])
+                rated[cid] = _parse_rate(item["rate"], cid)
             except DocumentError as exc:
                 problems.append(str(exc))
 
@@ -254,7 +259,8 @@ def document_problems(data: dict, precision_cap=None) -> List[str]:
     Covers the format tag, cell structure, the complex laws, rate syntax,
     geometry coverage and the face-closure of declared subcomplexes.  Ids,
     dimensions, boundary coefficients and ambient_dim must be JSON
-    integers; a float or a boolean is a problem, never truncated.
+    integers, and a rate a string or a JSON integer; a float or a boolean
+    is a problem, never truncated or rounded.
     """
     problems, unclosed, *_ = _read_document(data, precision_cap)
     return problems + unclosed

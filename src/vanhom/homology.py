@@ -7,14 +7,13 @@ Nothing here is a numerical estimate; there are two exact routes.
   integer columns fraction-free (gcd-normalised, after Bareiss 1968): it
   gives their rank over the rationals, the input columns that are
   independent with the row key of each one's pivot and, on request,
-  primitive integer kernel combinations.  :func:`betti` (the ordinary
-  Betti number of a face-closed cell set) and :func:`image_betti` (the
-  rank of the map induced on homology by including one cell set into a
-  larger one) are a cell count combined with such ranks.  The same ranks
-  between the levels of a filtration, at every cut, are counts of the
-  pivots of one level-ordered reduction per boundary matrix
-  (:func:`_pivot_levels`).  The pair theory in :mod:`vanhom.vanishing` is
-  the short exact sequence 0 -> A -> P -> Q -> 0 of chain complexes; one
+  primitive integer kernel combinations.  The rank of the map induced on
+  homology by including one level of a filtration into the next is a
+  cell count combined with such ranks, and at every cut those ranks are
+  counts of the pivots of one level-ordered reduction per boundary
+  matrix (:func:`_pivot_levels`, :func:`_image_dims`).  The pair theory
+  in :mod:`vanhom.vanishing` is the short exact sequence
+  0 -> A -> P -> Q -> 0 of chain complexes; one
   such elimination per complex and degree, top-down, of the boundaries of
   a complement of the boundaries found so far gives the boundaries one
   degree down (independent images) and one cycle per vanishing class
@@ -55,11 +54,6 @@ def chain_boundary(c: CellComplex, chain: Chain) -> Chain:
             else:
                 out.pop(face, None)
     return out
-
-
-def restrict_chain(chain: Chain, keep: CellSet) -> Chain:
-    """Project a chain onto the coordinates of a cell set."""
-    return {cid: coeff for cid, coeff in chain.items() if cid in keep}
 
 
 def _add_scaled(target: Chain, coeff: Fraction, source: Chain) -> Chain:
@@ -215,16 +209,12 @@ def unit_chains(ids: Iterable[int]) -> List[Chain]:
     return [{cid: Fraction(1)} for cid in sorted(ids)]
 
 
-# -- Betti numbers -------------------------------------------------------
+# -- integer elimination -------------------------------------------------
 
 
 def _require_face_closed(c: CellComplex, s: CellSet, what: str):
     if not c.is_face_closed(s):
         raise NotFaceClosed(f"{what} is not closed under faces")
-
-
-def _ids_of_dim(c: CellComplex, s: CellSet, j: int) -> List[int]:
-    return [cid for cid in sorted(s) if c.cell(cid).dim == j]
 
 
 def _boundary_columns(c: CellComplex, ids: Iterable[int]) -> List[IntColumn]:
@@ -316,65 +306,6 @@ def _integer_reduce(columns: Iterable[IntColumn], kernel: bool = False,
     return independent, kernels
 
 
-def _integer_rank(columns: Iterable[IntColumn]) -> int:
-    """Rank over the rationals of sparse integer columns."""
-    return len(_integer_reduce(columns)[0])
-
-
-def cycle_space(c: CellComplex, s: CellSet, j: int) -> Subspace:
-    """Cycles of degree j supported on a face-closed cell set."""
-    ids = _ids_of_dim(c, s, j)
-    if j == 0:
-        return Subspace(unit_chains(ids))
-    units = unit_chains(ids)
-    combos = kernel_basis([chain_boundary(c, u) for u in units])
-    return Subspace(_combine(units, combos))
-
-
-def boundary_space(c: CellComplex, s: CellSet, j: int) -> Subspace:
-    """Boundaries of degree j: images of the (j+1)-cells in the set."""
-    return Subspace(chain_boundary(c, {cid: Fraction(1)})
-                    for cid in _ids_of_dim(c, s, j + 1))
-
-
-def betti(c: CellComplex, s: CellSet, j: int) -> int:
-    """Ordinary rational Betti number of the subcomplex on s.
-
-    n_j - rank d_j - rank d_(j+1), all on the cells of s.
-    """
-    s = frozenset(s)
-    _require_face_closed(c, s, "cell set")
-    cells = _ids_of_dim(c, s, j)
-    return (len(cells) - _integer_rank(_boundary_columns(c, cells))
-            - _integer_rank(_boundary_columns(c, _ids_of_dim(c, s, j + 1))))
-
-
-def image_betti(c: CellComplex, small: CellSet, big: CellSet, j: int) -> int:
-    """Rank of the induced map on degree-j homology from small into big.
-
-    It is dim Z_j(small) minus the part of Z_j(small) that bounds in big.
-    Boundaries are cycles, so that part is B_j(big) meet C_j(small): the
-    boundaries that vanish under the projection pi onto the j-cells of big
-    outside small.  Hence, with ranks of integer boundary matrices,
-
-        n_j(small) - rank d_j|small_j - rank d_(j+1)|big_(j+1)
-                   + rank(pi o d_(j+1)|big_(j+1)).
-    """
-    small, big = frozenset(small), frozenset(big)
-    c.require_nested(small, big)
-    _require_face_closed(c, small, "the smaller cell set")
-    _require_face_closed(c, big, "the larger cell set")
-    cells = _ids_of_dim(c, small, j)
-    if not cells:
-        return 0  # no j-cells, no degree-j homology to map
-    outside = frozenset(_ids_of_dim(c, big, j)).difference(small)
-    above = _boundary_columns(c, _ids_of_dim(c, big, j + 1))
-    projected = [{face: k for face, k in col.items() if face in outside}
-                 for col in above]
-    return (len(cells) - _integer_rank(_boundary_columns(c, cells))
-            - _integer_rank(above) + _integer_rank(projected))
-
-
 # -- one reduction read at every cut -------------------------------------
 
 # the cells of each dimension as (level, id), ascending; the cut at level
@@ -410,9 +341,11 @@ def _image_dims(graded: Graded, pivots: Dict[int, List[Tuple[int, int]]],
     """Per degree j, the rank of the map induced on homology by including
     level j of the filtration at the cut into level j+1.
 
-    That is image_betti's |T_j| - rank d_j|T_j - rank d_(j+1)|T_(j+1)
-    + rank(pi_K o d_(j+1)|T_(j+1)), with T the cells in the cut and K the
-    others; pivots[j] holds the pivot levels of d_j.
+    With T the cells in the cut and K the others, a cycle on T_j bounds
+    in level j+1 when it is the boundary of a chain on T_(j+1) that pi_K,
+    the projection onto K_j, kills; so the rank is, with pivots[j] the
+    pivot levels of d_j,
+    |T_j| - rank d_j|T_j - rank d_(j+1)|T_(j+1) + rank(pi_K o d_(j+1)|T_(j+1)).
     """
     def ranks(j):  # rank d_j|T_j and the rank of its rows in K
         thin = [row for col, row in pivots.get(j, ()) if col >= cut]

@@ -25,10 +25,12 @@ min(prec_b + low_a, prec_a + low_b), and terms at or past the precision
 are dropped.  A document's vertices are converted once, with one D and
 one L, and every simplex's difference rows are formed from them.
 
-The filtration of a complex at velocity v puts into level j every cell of
+The thinness filtration at velocity v puts into level j every cell of
 dimension below j together with the thin cells of dimension exactly j.
-Level 0 is empty and level dim+1 is everything; vanishing homology reads
-off consecutive levels.
+Degree-j vanishing homology is the image of the homology of level j in
+that of level j+1.  No level is built as a cell set: the engine grades
+each dimension's cells by rate and reads every cut off one reduction per
+boundary matrix (see vanishing).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .cells import Cell, CellComplex, CellSet, InvalidComplex, SimplicialBuilder
+from .cells import CellComplex, InvalidComplex, SimplicialBuilder
 from .puiseux import (INF, ExtRational, IndeterminateAtPrecision, PuiseuxSeries,
                       Velocity, _Infinity)
 
@@ -79,38 +81,6 @@ def critical_rates(c: CellComplex, a: RateAnnotation) -> List[Fraction]:
     rates = {rate_of(c, a, cell.id)
              for cell in c.cells() if cell.dim >= 1}
     return sorted(r for r in rates if r is not INF)
-
-
-@dataclass(frozen=True)
-class Filtration:
-    """Nested cell sets X_0 = empty subset ... subset X_(d+1) = everything."""
-
-    velocity: Velocity
-    levels: Tuple[CellSet, ...]
-
-    def __len__(self):
-        return len(self.levels)
-
-    def level(self, j: int) -> CellSet:
-        return self.levels[j]
-
-
-def filtration(c: CellComplex, a: RateAnnotation, v: Velocity) -> Filtration:
-    """Level j keeps all cells of dim < j plus the thin cells of dim j.
-
-    Cells of dimension above j never enter level j, thin or not.
-    """
-    d = c.dim
-    levels = []
-    for j in range(d + 2):
-        keep = set()
-        for cell in c.cells():
-            if cell.dim < j:
-                keep.add(cell.id)
-            elif cell.dim == j and is_thin(c, a, cell.id, v):
-                keep.add(cell.id)
-        levels.append(frozenset(keep))
-    return Filtration(velocity=v, levels=tuple(levels))
 
 
 # -- rates from coordinates ----------------------------------------------
@@ -227,8 +197,9 @@ def _expand(top: Sequence[_IntSeries], cols: Tuple[int, ...],
 
 def _minor_valuations(matrix: Sequence[Sequence[_IntSeries]],
                       d: int) -> List[ExtRational]:
-    # invariant_factor_valuations over integer series with exponents
-    # scaled by d; the minors of each size are kept for the next
+    # the differences nu_1..nu_r of the least minor valuations (see the
+    # module docstring) of integer series with exponents scaled by d; the
+    # minors of each size are kept for the next
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     r = min(nrows, ncols)
@@ -263,36 +234,13 @@ def _minor_valuations(matrix: Sequence[Sequence[_IntSeries]],
     return out
 
 
-def invariant_factor_valuations(
-        matrix: Sequence[Sequence[PuiseuxSeries]]) -> List[ExtRational]:
-    """Successive minor-valuation differences nu_1..nu_r of a matrix.
-
-    delta_i is the smallest valuation of an i-by-i minor determinant,
-    delta_0 = 0, and nu_i = delta_i - delta_(i-1); r = min(#rows, #cols).
-    Once every minor of some size cancels to exactly zero, the remaining
-    entries are infinite.  A minor whose leading term is hidden by series
-    truncation raises IndeterminateAtPrecision.
-
-    The minors are Laplace-expanded along the first row over the integers:
-    with T = S^D every exponent and precision is an integer (valuations
-    come out multiplied by D and are divided back), and rows multiplied by
-    the coefficients' common denominator L scale a size-i minor by L^i,
-    which moves no valuation and no zero test.  Sums and products keep
-    the truncation rules of PuiseuxSeries, so the values, and the cases
-    that raise, are those of cofactor expansion in PuiseuxSeries.
-    """
-    d, scale = _scales(x for row in matrix for x in row)
-    return _minor_valuations(
-        [[_integer_series(x, d, scale) for x in row] for row in matrix], d)
-
-
 def simplex_rates(g: GeometricComplex,
                   simplices: Iterable[Sequence[int]]) -> List[Fraction]:
     """Collapse rates of embedded simplices: the last nu of each edge matrix.
 
     Rows are the coordinate differences to the first vertex.  The vertices
     the simplices use are converted to integer series once, with one D and
-    one L for all of them (see invariant_factor_valuations), and the rows
+    one L for all of them (see the module docstring), and the rows
     are formed in integers.  Simplices are rated in the order given and
     the first failure is raised: IndeterminateAtPrecision, or
     DegenerateSimplex for affinely dependent vertices.

@@ -96,11 +96,6 @@ def vanishing_betti(c: CellComplex, a: RateAnnotation,
     return VanishingBettiTable(v, dims, _euler_from_dims(dims))
 
 
-def vanishing_euler(t: VanishingBettiTable) -> int:
-    """Alternating sum of the positive-degree dimensions."""
-    return _euler_from_dims(t.dims)
-
-
 # -- chain route ---------------------------------------------------------
 
 
@@ -281,20 +276,6 @@ class LesReport:
                            "dim": n.dim, "rank_in": n.rank_in,
                            "rank_out": n.rank_out, "ok": n.ok}
                           for n in self.nodes]}
-
-
-def attached_chain_complex(c: CellComplex, a: RateAnnotation, sub: CellSet,
-                           v: Velocity) -> ChainSubspaceComplex:
-    """Thin chains attached to a subcomplex.
-
-    Degree j holds the chains of the ambient thin complex (thin j-chains
-    plus boundaries of thin (j+1)-chains) that lie in the subcomplex.  This
-    is the piece of the ambient thin complex that the pair quotients away.
-    """
-    pair = _Pair(c, a, sub, v)
-    return ChainSubspaceComplex(c, {
-        j: Subspace(map(pair.cell_chain, pair.chains["attached"][j].values()))
-        for j in pair.degrees})
 
 
 def _class_rank(images: List[IntColumn], bounds: List[IntColumn],

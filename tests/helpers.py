@@ -3,15 +3,22 @@
 import itertools
 import re
 from fractions import Fraction
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from vanhom import (INF, Cell, CellComplex, CellSet, ChainSubspaceComplex,
-                    ExcisionReport, GeometricComplex, IndeterminateAtPrecision,
-                    LesNode, LesReport, PairReport, SimplicialBuilder,
-                    Subspace, build_torus, chain_boundary, constant, is_thin,
-                    rank_of, restrict_chain, series, t_power, unit_chains)
-from vanhom.homology import Chain, _add_scaled, _Eliminator
+                    ExcisionReport, ExtRational, GeometricComplex,
+                    IndeterminateAtPrecision, LesNode, LesReport, PairReport,
+                    PuiseuxSeries, RateAnnotation, SimplicialBuilder,
+                    Subspace, VanishingBettiTable, Velocity, build_torus,
+                    chain_boundary, constant, is_thin, rank_of, series,
+                    t_power, unit_chains)
+from vanhom.homology import (Chain, IntColumn, _add_scaled, _boundary_columns,
+                             _combine, _Eliminator, _integer_reduce,
+                             _require_face_closed, kernel_basis)
 from vanhom.puiseux import _EXP, SeriesParseError, _parse_exponent
+from vanhom.thinness import _integer_series, _minor_valuations, _scales
+from vanhom.vanishing import _euler_from_dims, _Pair
 
 RATE_CHOICES = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
 
@@ -311,6 +318,172 @@ def torus_pair(n):
                            for cid in column(prefix, col)])
     rim = meridian | frozenset(column("v", 2) + column("u", 2))
     return c, rates, meridian, band, band - rim
+
+
+# -- reference routes of the earlier design ------------------------------
+#
+# Betti numbers and image ranks of cell sets, the thinness filtration as
+# cell sets, minor valuations of PuiseuxSeries matrices and the attached
+# chain complex.  The library computes the same numbers as pivot counts
+# of one reduction per boundary matrix; the tests compare the two.
+
+
+class NotNested(ValueError):
+    """Expected one cell set inside another."""
+
+
+def disjoint_union(a: CellComplex, b: CellComplex) -> CellComplex:
+    """Side-by-side union; b's ids are shifted above a's."""
+    shift = max(a.cell_ids(), default=-1) + 1
+    cells = list(a.cells())
+    for cell in b.cells():
+        cells.append(Cell(cell.id + shift, cell.dim,
+                          tuple((k, f + shift) for k, f in cell.boundary),
+                          cell.label))
+    return CellComplex(cells)
+
+
+@dataclass(frozen=True)
+class Filtration:
+    """Nested cell sets X_0 = empty subset ... subset X_(d+1) = everything."""
+
+    velocity: Velocity
+    levels: Tuple[CellSet, ...]
+
+    def __len__(self):
+        return len(self.levels)
+
+    def level(self, j: int) -> CellSet:
+        return self.levels[j]
+
+
+def filtration(c: CellComplex, a: RateAnnotation, v: Velocity) -> Filtration:
+    """Level j keeps all cells of dim < j plus the thin cells of dim j.
+
+    Cells of dimension above j never enter level j, thin or not.
+    """
+    d = c.dim
+    levels = []
+    for j in range(d + 2):
+        keep = set()
+        for cell in c.cells():
+            if cell.dim < j:
+                keep.add(cell.id)
+            elif cell.dim == j and is_thin(c, a, cell.id, v):
+                keep.add(cell.id)
+        levels.append(frozenset(keep))
+    return Filtration(velocity=v, levels=tuple(levels))
+
+
+def invariant_factor_valuations(
+        matrix: Sequence[Sequence[PuiseuxSeries]]) -> List[ExtRational]:
+    """Successive minor-valuation differences nu_1..nu_r of a matrix.
+
+    delta_i is the smallest valuation of an i-by-i minor determinant,
+    delta_0 = 0, and nu_i = delta_i - delta_(i-1); r = min(#rows, #cols).
+    Once every minor of some size cancels to exactly zero, the remaining
+    entries are infinite.  A minor whose leading term is hidden by series
+    truncation raises IndeterminateAtPrecision.
+
+    The minors are Laplace-expanded along the first row over the integers:
+    with T = S^D every exponent and precision is an integer (valuations
+    come out multiplied by D and are divided back), and rows multiplied by
+    the coefficients' common denominator L scale a size-i minor by L^i,
+    which moves no valuation and no zero test.  Sums and products keep
+    the truncation rules of PuiseuxSeries, so the values, and the cases
+    that raise, are those of cofactor expansion in PuiseuxSeries.
+    """
+    d, scale = _scales(x for row in matrix for x in row)
+    return _minor_valuations(
+        [[_integer_series(x, d, scale) for x in row] for row in matrix], d)
+
+
+def restrict_chain(chain: Chain, keep: CellSet) -> Chain:
+    """Project a chain onto the coordinates of a cell set."""
+    return {cid: coeff for cid, coeff in chain.items() if cid in keep}
+
+
+def _ids_of_dim(c: CellComplex, s: CellSet, j: int) -> List[int]:
+    return [cid for cid in sorted(s) if c.cell(cid).dim == j]
+
+
+def _integer_rank(columns: Iterable[IntColumn]) -> int:
+    """Rank over the rationals of sparse integer columns."""
+    return len(_integer_reduce(columns)[0])
+
+
+def cycle_space(c: CellComplex, s: CellSet, j: int) -> Subspace:
+    """Cycles of degree j supported on a face-closed cell set."""
+    ids = _ids_of_dim(c, s, j)
+    if j == 0:
+        return Subspace(unit_chains(ids))
+    units = unit_chains(ids)
+    combos = kernel_basis([chain_boundary(c, u) for u in units])
+    return Subspace(_combine(units, combos))
+
+
+def boundary_space(c: CellComplex, s: CellSet, j: int) -> Subspace:
+    """Boundaries of degree j: images of the (j+1)-cells in the set."""
+    return Subspace(chain_boundary(c, {cid: Fraction(1)})
+                    for cid in _ids_of_dim(c, s, j + 1))
+
+
+def betti(c: CellComplex, s: CellSet, j: int) -> int:
+    """Ordinary rational Betti number of the subcomplex on s.
+
+    n_j - rank d_j - rank d_(j+1), all on the cells of s.
+    """
+    s = frozenset(s)
+    _require_face_closed(c, s, "cell set")
+    cells = _ids_of_dim(c, s, j)
+    return (len(cells) - _integer_rank(_boundary_columns(c, cells))
+            - _integer_rank(_boundary_columns(c, _ids_of_dim(c, s, j + 1))))
+
+
+def image_betti(c: CellComplex, small: CellSet, big: CellSet, j: int) -> int:
+    """Rank of the induced map on degree-j homology from small into big.
+
+    It is dim Z_j(small) minus the part of Z_j(small) that bounds in big.
+    Boundaries are cycles, so that part is B_j(big) meet C_j(small): the
+    boundaries that vanish under the projection pi onto the j-cells of big
+    outside small.  Hence, with ranks of integer boundary matrices,
+
+        n_j(small) - rank d_j|small_j - rank d_(j+1)|big_(j+1)
+                   + rank(pi o d_(j+1)|big_(j+1)).
+    """
+    small, big = frozenset(small), frozenset(big)
+    if not small <= big:
+        raise NotNested("expected the first cell set inside the second")
+    _require_face_closed(c, small, "the smaller cell set")
+    _require_face_closed(c, big, "the larger cell set")
+    cells = _ids_of_dim(c, small, j)
+    if not cells:
+        return 0  # no j-cells, no degree-j homology to map
+    outside = frozenset(_ids_of_dim(c, big, j)).difference(small)
+    above = _boundary_columns(c, _ids_of_dim(c, big, j + 1))
+    projected = [{face: k for face, k in col.items() if face in outside}
+                 for col in above]
+    return (len(cells) - _integer_rank(_boundary_columns(c, cells))
+            - _integer_rank(above) + _integer_rank(projected))
+
+
+def vanishing_euler(t: VanishingBettiTable) -> int:
+    """Alternating sum of the positive-degree dimensions."""
+    return _euler_from_dims(t.dims)
+
+
+def attached_chain_complex(c: CellComplex, a: RateAnnotation, sub: CellSet,
+                           v: Velocity) -> ChainSubspaceComplex:
+    """Thin chains attached to a subcomplex.
+
+    Degree j holds the chains of the ambient thin complex (thin j-chains
+    plus boundaries of thin (j+1)-chains) that lie in the subcomplex.  This
+    is the piece of the ambient thin complex that the pair quotients away.
+    """
+    pair = _Pair(c, a, sub, v)
+    return ChainSubspaceComplex(c, {
+        j: Subspace(map(pair.cell_chain, pair.chains["attached"][j].values()))
+        for j in pair.degrees})
 
 
 # -- reference pair route ------------------------------------------------

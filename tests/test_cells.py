@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from helpers import betti, disjoint_union
 from vanhom import (Cell, CellComplex, InvalidComplex, NotFaceClosed,
-                    SimplicialBuilder, betti, build_circle,
-                    build_pinched_spheres, build_torus, disjoint_union,
-                    validate, vertex_support)
+                    SimplicialBuilder, build_circle, build_pinched_spheres,
+                    build_torus, validate, vertex_support)
 
 F = Fraction
 

@@ -350,6 +350,35 @@ class TestErrors:
         assert run(capsys, "rates", path) == (
             1, "", f"error: bad rate {text!r}\n")
 
+    # json reads a number with a fraction or an exponent as a float, so
+    # 0.10000000000000000001 would load as 1/10 and 1e400 as inf; two
+    # edges of one circle, the second rated "1/10"
+    @pytest.mark.parametrize("number, shown", [
+        ("0.10000000000000000001", "float 0.1"), ("1e400", "float inf"),
+        ("true", "bool True")])
+    def test_rate_as_a_json_number_that_is_no_integer(self, tmp_path, capsys,
+                                                       number, shown):
+        text = ('{"format": "%s", "cells": ['
+                '{"id": 0, "dim": 0, "boundary": []}, '
+                '{"id": 1, "dim": 0, "boundary": []}, '
+                '{"id": 2, "dim": 1, "boundary": [[-1, 0], [1, 1]], '
+                '"rate": %s}, '
+                '{"id": 3, "dim": 1, "boundary": [[1, 0], [-1, 1]], '
+                '"rate": "1/10"}]}' % (TAG, number))
+        path = write(tmp_path, "circle.json", text)
+        problems = [f"cell 2: rate must be a string or an integer, got "
+                    f"{shown}", "cell 2 has no rate and no geometry"]
+        assert run(capsys, "validate", path) == (
+            1, "".join(f"{problem}\n" for problem in problems), "")
+        assert run(capsys, "rates", path) == (
+            1, "", f"error: {'; '.join(problems)}\n")
+
+    def test_rate_as_a_json_integer(self, tmp_path, capsys):
+        path = write(tmp_path, "edge.json", edge_doc(rate=2))
+        assert run(capsys, "rates", path) == (
+            0, "2\t1\t2\t-\n", "warning: cell 2: explicit rate overrides "
+                                 "geometry\n")
+
     @pytest.mark.parametrize("text", ["1_0", "1/2_0"])
     def test_digit_separators_in_the_precision_cap(self, tmp_path, capsys,
                                                    monkeypatch, text):

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from vanhom import (NotFaceClosed, NotNested, Subspace, betti, boundary_space,
-                    build_circle, build_pinched_spheres, build_torus,
-                    chain_boundary, cycle_space, filtration, image_betti,
-                    kernel_basis, rank_of, unit_chains, Velocity)
-from vanhom.homology import (_boundary_columns, _integer_rank,
-                             _integer_reduce)
+from helpers import (NotNested, _integer_rank, betti, boundary_space,
+                     cycle_space, filtration, image_betti)
+from vanhom import (NotFaceClosed, Subspace, build_circle,
+                    build_pinched_spheres, build_torus, chain_boundary,
+                    rank_of, unit_chains, Velocity)
+from vanhom.homology import _boundary_columns, _integer_reduce, kernel_basis
 
 F = Fraction
 

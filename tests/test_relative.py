@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from helpers import attached_chain_complex, restrict_chain
 from vanhom import (InvalidExcision, MissingRate, NotFaceClosed, Subspace,
-                    Velocity, attached_chain_complex, build_circle,
-                    build_pinched_spheres, build_torus, chain_boundary,
-                    excision_check, les_check, rank_of, relative_vanishing,
-                    restrict_chain, thin_chain_complex, vanishing_betti)
+                    Velocity, build_circle, build_pinched_spheres, build_torus,
+                    chain_boundary, excision_check, les_check, rank_of,
+                    relative_vanishing, thin_chain_complex, vanishing_betti)
 from vanhom import vanishing
 from vanhom.vanishing import _class_rank, _Pair
 

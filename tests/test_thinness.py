@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from helpers import filtration, invariant_factor_valuations
 from vanhom import (INF, DegenerateSimplex, GeometricComplex,
-                    IndeterminateAtPrecision, InvalidComplex, MissingRate, Velocity,
-                    annotate_geometric, build_pinched_spheres, build_torus,
-                    constant, critical_rates, filtration,
-                    invariant_factor_valuations, is_thin, load_document,
-                    parse_series, rate_of, series, simplex_rate,
+                    IndeterminateAtPrecision, InvalidComplex, MissingRate,
+                    Velocity, annotate_geometric, build_pinched_spheres,
+                    build_torus, constant, critical_rates, is_thin,
+                    load_document, parse_series, rate_of, series, simplex_rate,
                     simplex_rates, t_power, vertex_support)
 
 F = Fraction

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from helpers import (betti, disjoint_union, filtration, image_betti,
+                     vanishing_euler)
 from vanhom import (INF, Cell, CellComplex, ChainSubspaceComplex,
-                    NotFaceClosed, Subspace, Velocity, betti, build_circle,
+                    NotFaceClosed, Subspace, Velocity, build_circle,
                     build_pinched_spheres, build_torus, chain_boundary,
-                    critical_rates, disjoint_union, filtration, image_betti,
-                    is_thin, sweep, thin_chain_complex, vanishing,
-                    vanishing_betti, vanishing_betti_oracle, vanishing_euler)
+                    critical_rates, is_thin, sweep, thin_chain_complex,
+                    vanishing, vanishing_betti, vanishing_betti_oracle)
 
 F = Fraction
 
