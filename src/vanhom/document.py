@@ -8,11 +8,11 @@ their rate directly from the ``rate`` field or have it derived from the
 geometry; an explicit rate wins over geometry, with a warning.
 
 Loading reads each piece a document shares once: each distinct
-coordinate text is parsed once and the precision cap read once, so equal
-texts share one frozen series, and the vertex support of every cell comes
-from its faces' supports in one pass up the dimensions.  Rates and the
-precision cap are rational text, read without the '_' digit separators
-that Fraction takes from Python 3.11 on.
+coordinate or rate text is parsed once and the precision cap read once, so
+equal texts share one frozen series or one rate, and the vertex support of
+every cell comes from its faces' supports in one pass up the dimensions.
+Rates and the precision cap are rational text, read without the '_'
+digit separators that Fraction takes from Python 3.11 on.
 
 Writing is canonical and byte-stable: cells sorted by id, keys sorted,
 rates as exact fraction strings.
@@ -62,18 +62,19 @@ def _fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _parse_rate(text, cid: int) -> ExtRational:
+def _parse_rate(text, cid: int, parsed: dict) -> ExtRational:
     # a JSON number with a fraction or an exponent arrives as a float,
-    # already rounded: take only rational text or a real int
+    # already rounded: take only rational text or a real int, before
+    # looking the text up among those parsed, as True and 1.0 hash like 1
     if type(text) is not int and not isinstance(text, str):
         raise DocumentError(f"cell {cid}: rate must be a string or an "
                             f"integer, got {type(text).__name__} {text!r}")
-    if text == "inf":
-        return INF
-    try:
-        return _fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"bad rate {text!r}") from exc
+    if text not in parsed:
+        try:
+            parsed[text] = INF if text == "inf" else _fraction(str(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DocumentError(f"bad rate {text!r}") from exc
+    return parsed[text]
 
 
 def _format_rate(rate: ExtRational) -> str:
@@ -197,14 +198,16 @@ def _read_document(data, precision_cap):
     problems.extend(report.problems)
 
     rated: Dict[int, ExtRational] = {}
+    carried, parsed = set(), {}  # the cells with a rate field; rate texts
     for item in data["cells"]:
         cid = item["id"]
         if "rate" in item:
+            carried.add(cid)
             if c.cell(cid).dim == 0:
                 problems.append(f"vertex {cid} must not carry a rate")
                 continue
             try:
-                rated[cid] = _parse_rate(item["rate"], cid)
+                rated[cid] = _parse_rate(item["rate"], cid, parsed)
             except DocumentError as exc:
                 problems.append(str(exc))
 
@@ -222,8 +225,8 @@ def _read_document(data, precision_cap):
     supports: Dict[int, List[int]] = {}
     under = _vertex_supports(c) if geometry is not None else {}
     for cell in c.cells():
-        if cell.dim == 0 or cell.id in rated:
-            continue
+        if cell.dim == 0 or cell.id in carried:
+            continue  # a rate field that does not parse is named above
         if geometry is None:
             problems.append(f"cell {cell.id} has no rate and no geometry")
             continue

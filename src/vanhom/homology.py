@@ -18,7 +18,8 @@ Nothing here is a numerical estimate; there are two exact routes.
   a complement of the boundaries found so far gives the boundaries one
   degree down (independent images) and one cycle per vanishing class
   (kernel combinations); every dimension counts those cycles, and every
-  map rank and check reduces boundaries, images and those cycles once.
+  map rank and check reduces its images and those cycles once, starting
+  from the echelon basis of the boundaries that elimination left.
 
 * The oracle route works with chain subspaces: sparse chains with
   Fraction entries, kept as echelon bases by :class:`Subspace`,
@@ -268,30 +269,36 @@ def _integer_reduce(columns: Iterable[IntColumn], kernel: bool = False,
     among the first k columns with keys below m count the rank of that
     block.
 
-    With a dict as ``echelon``, the reduced pivot columns are also stored
-    in it as {pivot key: column}, in input order: an echelon basis of the
-    span, each column led by its own lowest key.  The pivot keys are the
-    lowest keys of the span's nonzero chains, whatever the input order.
+    ``echelon``, a dict {lowest key: column} of columns each led by its own
+    lowest key, seeds the pivots, each with an empty combination, and each
+    new pivot column is added to it in input order: it ends up an echelon
+    basis of everything spanned, keyed by the lowest keys of the span's
+    nonzero chains whatever the input order.  What it held is not reduced
+    again; the pivots returned are the new ones, counting what the columns
+    add to its span, and a kernel combination sums to a chain of that span.
     """
-    pivots: Dict[int, Tuple[IntColumn, Optional[IntColumn]]] = {}
+    if echelon is None:
+        echelon = {}
+    combos: Dict[int, Optional[IntColumn]] = {}  # of the new pivots
     independent: Dict[int, int] = {}
     kernels: List[IntColumn] = []
     for index, col in enumerate(columns):
         combo = {index: 1} if kernel else None
         while col:
             low = min(col)
-            if low not in pivots:
-                pivots[low] = (col, combo)
+            pivot = echelon.get(low)
+            if pivot is None:
+                echelon[low] = col
+                combos[low] = combo
                 independent[index] = low
                 break
-            pivot, pivot_combo = pivots[low]
             g = gcd(pivot[low], col[low])
             a, b = pivot[low] // g, col[low] // g
             col = _sub_scaled(a, col, b, pivot)
             if combo is None:
                 content = gcd(*col.values())
             else:
-                combo = _sub_scaled(a, combo, b, pivot_combo)
+                combo = _sub_scaled(a, combo, b, combos.get(low, {}))
                 content = gcd(*col.values(), *combo.values())
             if content > 1:
                 col = {key: v // content for key, v in col.items()}
@@ -301,8 +308,6 @@ def _integer_reduce(columns: Iterable[IntColumn], kernel: bool = False,
             # the column ran out: its combination is a kernel vector
             if combo is not None:
                 kernels.append(combo)
-    if echelon is not None:
-        echelon.update((low, col) for low, (col, _) in pivots.items())
     return independent, kernels
 
 

@@ -25,10 +25,12 @@ sequence connects them.  Excision drops a set W from the interior of S
 without changing the relative groups.  It runs on the integer kernel of
 :mod:`vanhom.homology`: each complex's cycles are its boundaries B plus
 one representative per vanishing class R, every dimension is |R|, and
-each map of the long exact sequence is one reduction of the target's B,
-the images and the target's R, which gives its rank and checks that its
-images are cycles.  Only the oracle side (the chain-subspace complexes
-and :func:`vanishing_betti_oracle`) uses :class:`Subspace`.
+each map of the long exact sequence reduces its images and the target's
+R against the echelon basis of the target's B, kept from the reduction
+that found B, which gives its rank and checks that its images are
+cycles; no basis is reduced twice.  Only the oracle side (the
+chain-subspace complexes and :func:`vanishing_betti_oracle`) uses
+:class:`Subspace`.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ class InvalidExcision(ValueError):
     subcomplex and contain every cell it is a face of."""
 
 
+def _by_degree(dims: Dict[int, int]) -> Dict[str, int]:
+    return {str(j): dims[j] for j in sorted(dims)}
+
+
 @dataclass(frozen=True)
 class VanishingBettiTable:
     """Per-degree dimensions of vanishing homology at one velocity."""
@@ -61,8 +67,7 @@ class VanishingBettiTable:
 
     def as_dict(self) -> dict:
         return {"velocity": str(self.velocity),
-                "betti": {str(j): self.dims[j] for j in sorted(self.dims)},
-                "euler": self.euler}
+                "betti": _by_degree(self.dims), "euler": self.euler}
 
 
 def _euler_from_dims(dims: Dict[int, int]) -> int:
@@ -242,12 +247,10 @@ class PairReport:
     exact: bool
 
     def as_dict(self) -> dict:
-        def tab(d):
-            return {str(j): d[j] for j in sorted(d)}
         return {"velocity": str(self.velocity),
-                "absolute": tab(self.absolute),
-                "relative": tab(self.relative),
-                "attached": tab(self.attached),
+                "absolute": _by_degree(self.absolute),
+                "relative": _by_degree(self.relative),
+                "attached": _by_degree(self.attached),
                 "exact": self.exact}
 
 
@@ -278,23 +281,23 @@ class LesReport:
                           for n in self.nodes]}
 
 
-def _class_rank(images: List[IntColumn], bounds: List[IntColumn],
+def _class_rank(images: List[IntColumn], bounds: Dict[int, IntColumn],
                 reps: List[IntColumn], failure: str) -> int:
     """The rank of the images' classes in Z/B, once they are known cycles.
 
-    bounds spans B, and bounds plus reps, independent together, span Z.
-    One reduction of bounds + images + reps gives both: the pivots among
-    its first |B| + |images| columns count rank(B and images) (a prefix,
-    see _integer_reduce), and it has |B| + |reps| pivots exactly when the
-    images lie in Z; otherwise it raises AssertionError(failure).  With a
-    chain space as bounds and no reps it checks that the images lie in
-    it, and with no bounds and no reps that every image is zero.
+    bounds is an echelon basis {lowest key: chain} of B, and B plus reps,
+    independent together, span Z.  One reduction of images + reps against
+    a copy of bounds gives both: its new pivots among the images count the
+    rank the images add to B, and there are |reps| new pivots exactly when
+    the images lie in Z; otherwise it raises AssertionError(failure).  With
+    a chain space's echelon basis as bounds and no reps it checks that the
+    images lie in that space, and with {} and no reps that every image is
+    zero.
     """
-    pivots, _ = _integer_reduce(bounds + images + reps)
-    if len(pivots) != len(bounds) + len(reps):
+    pivots, _ = _integer_reduce(images + reps, echelon=dict(bounds))
+    if len(pivots) != len(reps):
         raise AssertionError(failure)
-    prefix = len(bounds) + len(images)
-    return sum(index < prefix for index in pivots) - len(bounds)
+    return sum(index < len(images) for index in pivots)
 
 
 class _Pair:
@@ -311,19 +314,19 @@ class _Pair:
       commutes with d because the chains on S form a subcomplex.
 
     Chains are keyed with the cells outside S first, so pi keeps the keys
-    below ``split``.  One reduction of P_j's generators gives an echelon
-    basis of it (each chain led by its own lowest key); its chains led by
-    a key in S span A_j, and the projections of the others span Q_j.
+    below ``split``.  P_j is an echelon basis (each chain led by its own
+    lowest key), seeded with the thin j-cells; its chains led by a key in
+    S span A_j, and the projections of the others span Q_j.
 
     Cycles are boundaries plus one representative per class, top-down:
     the chains of C_j led by a key that B_j does not lead span a
     complement W_j of B_j, and dC_j = dW_j since dB_j = 0.  One reduction
-    of dW_j gives B_(j-1) (its independent images, and their leading
-    keys) and the representatives R_j (its kernel combinations of W_j),
-    and Z_j = B_j + R_j.  Each map of the long exact sequence and each
-    check is one reduction (_class_rank) of B, the images and R, each set
-    once; a failed check raises AssertionError naming the check, the
-    degree and the velocity.
+    of dW_j gives B_(j-1) (its independent images, ``bounds``, and their
+    echelon basis, ``leads``) and the representatives R_j (its kernel
+    combinations of W_j), and Z_j = B_j + R_j.  Every check and map
+    reduces its images (and R) once against a basis held here
+    (_class_rank); a failed check raises AssertionError naming the check,
+    the degree and the velocity.
     """
 
     def __init__(self, c: CellComplex, a: RateAnnotation, sub: CellSet,
@@ -345,9 +348,8 @@ class _Pair:
         chains = self.chains = {"absolute": {}, "attached": {},
                                 "relative": {}}
         for j in self.degrees:
-            prime = chains["absolute"][j] = {}
-            _integer_reduce([{k: 1} for k in thin[j]]
-                            + [faces[k] for k in thin[j + 1]], echelon=prime)
+            prime = chains["absolute"][j] = {k: {k: 1} for k in thin[j]}
+            _integer_reduce([faces[k] for k in thin[j + 1]], echelon=prime)
             chains["attached"][j] = {low: x for low, x in prime.items()
                                      if low >= self.split}
             chains["relative"][j] = {low: self.project(x)
@@ -357,6 +359,7 @@ class _Pair:
 
         self.reps: Dict[str, Dict[int, List[IntColumn]]] = {}
         self.bounds: Dict[str, Dict[int, List[IntColumn]]] = {}
+        self.leads: Dict[str, Dict[int, Dict[int, IntColumn]]] = {}
         self.dims: Dict[str, Dict[int, int]] = {}
         for name, bd in (("absolute", faces), ("attached", faces),
                          ("relative", relative_faces)):
@@ -371,21 +374,15 @@ class _Pair:
                     images, kernel=True, echelon=leads[j - 1])
                 bounds[j - 1] = [images[i] for i in independent]
                 reps[j] = _combine(free, combos)
-                if j:
-                    below = list(spaces[j - 1].values())
-                    _class_rank(bounds[j - 1], below, [], self._failure(
-                        f"{name} chains are not closed under the boundary", j))
-            if name == "absolute":
-                # B(P_j) meets C(S) in the span of its echelon columns led
-                # by a key in S: the boundaries in P_j that pi kills
-                self.lifts = {j: [x for low, x in echelon.items()
-                                  if low >= self.split]
-                              for j, echelon in leads.items()}
+            for j in self.degrees[1:]:
+                _class_rank(bounds[j - 1], spaces[j - 1], [], self._failure(
+                    f"{name} chains are not closed under the boundary", j))
             self.reps[name], self.bounds[name] = reps, bounds
+            self.leads[name] = leads
             self.dims[name] = {j: len(reps[j]) for j in self.degrees}
         for j in self.degrees:
             _class_rank(_combine(relative_faces, self.bounds["relative"][j]),
-                        [], [], self._failure(
+                        {}, [], self._failure(
                             "relative boundary is not a relative cycle", j))
 
     def project(self, x: IntColumn) -> IntColumn:
@@ -405,9 +402,10 @@ class _Pair:
         its images add to the target's boundaries: incl_j through Z(A_j)
         over B(P_j), quot_j through pi Z(P_j) over B(Q_j), conn_j through
         L_(j-1) over B(A_(j-1)), where L_j, the boundaries in P_j that pi
-        kills, are the boundaries of lifts of relative cycles.  One
-        reduction of the target's B, the images and the target's R per map
-        gives its rank and checks its images are cycles.
+        kills (the boundaries of lifts of relative cycles), are spanned by
+        the chains of B(P_j)'s echelon basis led by a key in S.  Reducing
+        the images and the target's R against the target's echelon basis
+        of B gives the rank and checks that the images are cycles.
 
         The composite of the two maps at a node vanishes by construction,
         so a node is exact when rank_in + rank_out = dim: L_j is built from
@@ -415,18 +413,19 @@ class _Pair:
         quot after incl is zero; and an absolute cycle is its own lift and
         has no boundary, so conn after quot is zero.
         """
-        names = ("attached", "absolute", "relative")
-        ba, bp, bq = (self.bounds[name] for name in names)
-        ra, rp, rq = (self.reps[name] for name in names)
+        (ba, bp, _), (la, lp, lq), (ra, rp, rq) = (
+            [table[name] for name in ("attached", "absolute", "relative")]
+            for table in (self.bounds, self.leads, self.reps))
         incl, quot, conn = {}, {}, {}
         for j in self.degrees:
-            incl[j] = _class_rank(ba[j] + ra[j], bp[j], rp[j], self._failure(
+            incl[j] = _class_rank(ba[j] + ra[j], lp[j], rp[j], self._failure(
                 "attached cycle is not an absolute cycle", j))
             quot[j] = _class_rank(
-                [self.project(x) for x in bp[j] + rp[j]], bq[j], rq[j],
+                [self.project(x) for x in bp[j] + rp[j]], lq[j], rq[j],
                 self._failure("absolute cycle is not a relative cycle", j))
+            lifts = [x for low, x in lp[j - 1].items() if low >= self.split]
             conn[j] = _class_rank(
-                self.lifts[j - 1], ba[j - 1], ra.get(j - 1, []), self._failure(
+                lifts, la[j - 1], ra.get(j - 1, []), self._failure(
                     "relative cycle has a boundary that is not an attached "
                     "cycle", j))
         nodes = []
@@ -483,10 +482,8 @@ class ExcisionReport:
     equal: bool
 
     def as_dict(self) -> dict:
-        def tab(d):
-            return {str(j): d[j] for j in sorted(d)}
-        return {"velocity": str(self.velocity), "full": tab(self.full),
-                "excised": tab(self.excised), "equal": self.equal}
+        return {"velocity": str(self.velocity), "full": _by_degree(self.full),
+                "excised": _by_degree(self.excised), "equal": self.equal}
 
 
 def excision_check(c: CellComplex, a: RateAnnotation, sub: CellSet,

@@ -12,10 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from vanhom import (Cell, CellComplex, DegenerateSimplex, GeometricComplex,
-                    IndeterminateAtPrecision, SeriesParseError,
-                    SimplicialBuilder, document_dict, document_problems,
-                    load_document, parse_series, simplex_rate, vertex_support)
+from vanhom import (INF, Cell, CellComplex, DegenerateSimplex,
+                    GeometricComplex, IndeterminateAtPrecision,
+                    SeriesParseError, SimplicialBuilder, document_dict,
+                    document_problems, load_document, parse_series,
+                    simplex_rate, vertex_support)
 from vanhom.document import _fraction, _read_document, _vertex_supports
 
 # equal series under distinct texts ("T^2", "T^ 2", "T ^ 2"), truncated
@@ -116,6 +117,28 @@ class TestSharedPieces:
         _, _, _, geometry, _, _ = _read_document(data, Fraction(1))
         series = [s for point in geometry.vertices.values() for s in point]
         assert len({id(s) for s in series}) == len(set(texts))
+
+    @staticmethod
+    def circle(*rates):
+        # a circle of len(rates) edges on as many vertices, rated in order
+        n = len(rates)
+        cells = [{"id": i, "dim": 0, "boundary": []} for i in range(n)]
+        cells += [{"id": n + i, "dim": 1,
+                   "boundary": [[-1, i], [1, (i + 1) % n]], "rate": rate}
+                  for i, rate in enumerate(rates)]
+        return {"format": "vanhom-complex/1", "cells": cells}
+
+    def test_repeated_rate_texts_share_one_rate(self):
+        rates = load_document(self.circle("1/2", 1, "1/2", 1, "inf")).rates
+        assert rates == {5: Fraction(1, 2), 6: 1, 7: Fraction(1, 2), 8: 1,
+                         9: INF}
+        assert rates[5] is rates[7] and rates[6] is rates[8]
+
+    def test_bool_and_float_rates_after_an_equal_integer(self):
+        # True and 1.0 hash equal to 1, whose rate is parsed first
+        assert document_problems(self.circle(1, True, 1.0)) == [
+            "cell 4: rate must be a string or an integer, got bool True",
+            "cell 5: rate must be a string or an integer, got float 1.0"]
 
     @pytest.mark.parametrize("bad", ["T^^2", "T + T", "1/0", ""])
     def test_bad_text_repeated_at_several_vertices(self, bad):

@@ -61,29 +61,30 @@ class TestPinchedPair:
 
 
 class TestClassRank:
-    # hand-worked ranks of classes in Z/B, Z given as B plus the reps; z1
+    # hand-worked ranks of classes in Z/B, B given as an echelon basis
+    # {lowest key: chain} and Z as B plus the reps; z1
     # and z2 are cycles of a path 0 - 1 - 2 written on its vertex keys
     z1, z2 = {0: 1, 1: -1}, {1: 1, 2: -1}
 
     def test_classes_counted_modulo_boundaries(self):
         images = [{0: 1, 2: -1}, {1: 2, 2: -2}]  # z1 + z2 and 2 z2
-        assert _class_rank(images, [], [self.z1, self.z2], "f") == 2
-        assert _class_rank(images, [self.z1], [self.z2], "f") == 1
+        assert _class_rank(images, {}, [self.z1, self.z2], "f") == 2
+        assert _class_rank(images, {0: self.z1}, [self.z2], "f") == 1
 
     def test_non_unit_coefficient(self):
         # z bounds twice: over the integers its class has order 2 (as the
         # circle of RP^2), over the rationals it is zero
         z = self.z1
-        assert _class_rank([z], [{0: 2, 1: -2}], [], "f") == 0
-        assert _class_rank([z], [], [z], "f") == 1
+        assert _class_rank([z], {0: {0: 2, 1: -2}}, [], "f") == 0
+        assert _class_rank([z], {}, [z], "f") == 1
 
     def test_image_that_is_not_a_cycle_raises(self):
         with pytest.raises(AssertionError) as info:
-            _class_rank([{0: 1}], [], [self.z1], "image is not a cycle")
+            _class_rank([{0: 1}], {}, [self.z1], "image is not a cycle")
         assert info.value.args == ("image is not a cycle",)
 
     def test_boundaries_outside_the_chains_raise(self):
-        chains = [{0: 1}, {1: 1}]
+        chains = {0: {0: 1}, 1: {1: 1}}
         assert _class_rank([self.z1], chains, [], "f") == 0
         with pytest.raises(AssertionError) as info:
             _class_rank([{2: 1}], chains, [], "not closed")
@@ -355,6 +356,43 @@ class TestEliminationWork:
         assert les_check(*pinched_pair()).exact
         assert excision_check(c, rates, band, cut, Velocity(F(2))).equal
         assert len(calls) > 100
+
+    @pytest.mark.parametrize("case", ["meridian T^0", "meridian T^2",
+                                      "pinched", "band"])
+    def test_held_bases_are_not_reduced_again(self, monkeypatch, case):
+        # the reductions start from the echelon bases the pair holds: the
+        # checks of _Pair never pass a chain-space basis column as a
+        # column (only the reduction that builds it does), and les() passes
+        # a column of B(P) or B(Q) only as an image of the connecting map,
+        # a chain of B(P)'s echelon basis led by a key in the subcomplex
+        reduce, calls = vanishing._integer_reduce, []
+
+        def record(columns, *args, **kwargs):
+            columns = list(columns)
+            calls.append(({id(x) for x in columns}, kwargs.get("echelon")))
+            return reduce(columns, *args, **kwargs)
+        monkeypatch.setattr(vanishing, "_integer_reduce", record)
+        c, rates, meridian, band, _ = helpers.torus_pair(6)
+        c, rates, sub, v = {
+            "meridian T^0": (c, rates, meridian, Velocity(F(0))),
+            "meridian T^2": (c, rates, meridian, Velocity(F(2))),
+            "pinched": pinched_pair(),
+            "band": (c, rates, band, Velocity(F(2)))}[case]
+        pair = _Pair(c, rates, sub, v)
+        spaces = [echelon for name in pair.chains
+                  for echelon in pair.chains[name].values()]
+        held = {id(x) for echelon in spaces for x in echelon.values()}
+        built = [ids for ids, echelon in calls
+                 if not any(echelon is space for space in spaces)]
+        assert len(built) < len(calls)
+        assert all(not ids & held for ids in built)
+        del calls[:]
+        pair.les()
+        bounds = {id(x) for name in ("absolute", "relative")
+                  for chains in pair.bounds[name].values() for x in chains}
+        lifts = {id(x) for echelon in pair.leads["absolute"].values()
+                 for low, x in echelon.items() if low >= pair.split}
+        assert calls and all(ids & bounds <= lifts for ids, _ in calls)
 
 
 class TestCycleBases:
