@@ -60,7 +60,10 @@ def _precision_cap():
 
 def _read(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise DocumentError("JSON nesting is too deep to read") from None
 
 
 def _load(path: str):

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cells import CellComplex, CellSet, NotFaceClosed
+from .cells import CellComplex
 
 Chain = Dict[int, Fraction]
 IntColumn = Dict[int, int]
@@ -213,11 +213,6 @@ def unit_chains(ids: Iterable[int]) -> List[Chain]:
 # -- integer elimination -------------------------------------------------
 
 
-def _require_face_closed(c: CellComplex, s: CellSet, what: str):
-    if not c.is_face_closed(s):
-        raise NotFaceClosed(f"{what} is not closed under faces")
-
-
 def _boundary_columns(c: CellComplex, ids: Iterable[int]) -> List[IntColumn]:
     """Integer boundary columns of the given cells.
 
@@ -325,13 +320,9 @@ def _pivot_levels(c: CellComplex, graded: Graded, j: int,
     Columns run by descending level and row keys by ascending level, so at
     any cut the columns in it and the rows below it are leading runs, and
     the pivots inside such a block count its rank.  With a cut, only the
-    columns in it are reduced.  Every j-cell's faces must be (j-1)-cells.
+    columns in it are reduced.  graded is from vanishing._graded.
     """
     keys = {cid: key for key, (_, cid) in enumerate(graded[j - 1])}
-    for _, cid in graded[j]:
-        if any(face not in keys for _, face in c.cell(cid).boundary):
-            raise NotFaceClosed(f"cell {cid} has a face that is not a "
-                                f"{j - 1}-cell")
     cols = [(level, cid) for level, cid in reversed(graded[j])
             if cut is None or level >= cut]
     pivots, _ = _integer_reduce(

@@ -92,7 +92,9 @@ class GeometricComplex:
 
     vertices maps vertex id to a coordinate tuple (all of length
     ambient_dim); simplices are vertex-id tuples of dimension >= 1, closed
-    under faces, orientation given by tuple order.
+    under faces, orientation given by tuple order.  check tests coordinate
+    counts, dimensions and vertex references; SimplicialBuilder checks the
+    simplicial structure as annotate_geometric assembles the complex.
     """
 
     ambient_dim: int
@@ -100,32 +102,17 @@ class GeometricComplex:
     simplices: List[Tuple[int, ...]]
 
     def check(self):
-        keyed = set()
         for vid, point in self.vertices.items():
             if len(point) != self.ambient_dim:
                 raise InvalidComplex(
                     f"vertex {vid}: expected {self.ambient_dim} coordinates")
         for simplex in self.simplices:
             simplex = tuple(simplex)
-            if len(set(simplex)) != len(simplex):
-                raise InvalidComplex(f"repeated vertex in {simplex}")
             if len(simplex) < 2:
                 raise InvalidComplex(f"{simplex}: need dimension >= 1")
             for vid in simplex:
                 if vid not in self.vertices:
                     raise InvalidComplex(f"unknown vertex {vid} in {simplex}")
-            if frozenset(simplex) in keyed:
-                raise InvalidComplex(
-                    f"duplicate simplex on {sorted(simplex)}")
-            keyed.add(frozenset(simplex))
-        for simplex in self.simplices:
-            if len(simplex) < 3:
-                continue
-            for i in range(len(simplex)):
-                face = frozenset(simplex[:i] + simplex[i + 1:])
-                if face not in keyed:
-                    raise InvalidComplex(
-                        f"missing face {sorted(face)} of {tuple(simplex)}")
 
 
 # An integer series is ({exponent: coefficient}, precision): a
@@ -277,7 +264,8 @@ def annotate_geometric(
 
     Vertices keep their ids; higher simplices get fresh ids in order of
     (dimension, sorted vertex tuple).  Boundary signs respect the given
-    tuple orientations.
+    tuple orientations.  The complex is assembled first, so a simplicial
+    fault is InvalidComplex before any rate is derived.
     """
     g.check()
     b = SimplicialBuilder()
@@ -285,6 +273,5 @@ def annotate_geometric(
         b.add_vertex(vid)
     ordered = sorted((tuple(s) for s in g.simplices),
                      key=lambda s: (len(s), tuple(sorted(s))))
-    for simplex, rate in zip(ordered, simplex_rates(g, ordered)):
-        b.add_simplex(simplex, rate=rate)
-    return b.complex(), dict(b.rates)
+    ids = [b.add_simplex(simplex) for simplex in ordered]
+    return b.complex(), dict(zip(ids, simplex_rates(g, ordered)))

@@ -39,11 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cells import CellComplex, CellSet
+from .cells import CellComplex, CellSet, NotFaceClosed
 from .homology import (Chain, Graded, IntColumn, Subspace, _boundary_columns,
                        _combine, _image_dims, _integer_reduce, _pivot_levels,
-                       _require_face_closed, chain_boundary, rank_of,
-                       unit_chains)
+                       chain_boundary, rank_of, unit_chains)
 from .puiseux import INF, Velocity
 from .thinness import RateAnnotation, critical_rates, is_thin, rate_of
 
@@ -76,15 +75,23 @@ def _euler_from_dims(dims: Dict[int, int]) -> int:
 
 
 def _graded(c: CellComplex, a: RateAnnotation, level) -> Graded:
-    """The cells of each dimension by level.
+    """The cells of each dimension by level, under the face law.
 
     level maps a rate to an integer, in the order of the rates; vertices
-    get -1, below every cut.
+    get -1, below every cut.  After the rates, the first cell by id with a
+    face that is not a cell one dimension down raises NotFaceClosed: every
+    engine route grades first, so this is the law's one check.
     """
     graded: Graded = [[] for _ in range(max(c.dim, 0) + 1)]
     for cell in c.cells():
         graded[cell.dim].append(
             (level(rate_of(c, a, cell.id)) if cell.dim else -1, cell.id))
+    ids = [{cid for _, cid in cells} for cells in graded]
+    for cell in c.cells():
+        if cell.dim and not ids[cell.dim - 1].issuperset(
+                face for _, face in cell.boundary):
+            raise NotFaceClosed(f"cell {cell.id} has a face that is not a "
+                                f"{cell.dim - 1}-cell")
     return [sorted(cells) for cells in graded]
 
 
@@ -152,6 +159,7 @@ def thin_chain_complex(c: CellComplex, a: RateAnnotation,
 
     Degree j holds the chains on thin j-cells together with the boundaries
     of chains on thin (j+1)-cells; its homology is the vanishing homology.
+    As for vanishing_betti_oracle, the complex must pass validate.
     """
     d = c.dim
     spaces = {}
@@ -165,7 +173,12 @@ def thin_chain_complex(c: CellComplex, a: RateAnnotation,
 
 def vanishing_betti_oracle(c: CellComplex, a: RateAnnotation,
                            v: Velocity) -> VanishingBettiTable:
-    """Vanishing homology dimensions via the thin chain subcomplex."""
+    """Vanishing homology dimensions via the thin chain subcomplex.
+
+    It assumes a complex that passes validate, and deliberately does not
+    share the engine's face-law check: on a triangle whose boundary is its
+    edges plus a vertex, all rated 0, it gives {0: 0, 1: 1, 2: 0} at T^0.
+    """
     if c.dim < 0:
         return VanishingBettiTable(v, {0: 0}, 0)
     dims = thin_chain_complex(c, a, v).homology_dims()
@@ -332,7 +345,9 @@ class _Pair:
     def __init__(self, c: CellComplex, a: RateAnnotation, sub: CellSet,
                  v: Velocity):
         sub = frozenset(sub)
-        _require_face_closed(c, sub, "subcomplex")
+        if not c.is_face_closed(sub):
+            raise NotFaceClosed("subcomplex is not closed under faces")
+        graded = _graded(c, a, lambda rate: int(v.contains_rate(rate)))
         self.velocity = v
         self.cells = sorted(c.cell_ids() - sub) + sorted(sub)
         self.split = len(self.cells) - len(sub)
@@ -341,7 +356,6 @@ class _Pair:
                  for col in _boundary_columns(c, self.cells)]
         d = max(c.dim, 0)
         self.degrees = range(d + 1)
-        graded = _graded(c, a, lambda rate: int(v.contains_rate(rate)))
         thin = [[key[cid] for level, cid in cells if level == 1]
                 for cells in graded] + [[]]
         # each space C_j as an echelon basis {lowest key: chain}
@@ -445,8 +459,9 @@ def relative_vanishing(c: CellComplex, a: RateAnnotation, sub: CellSet,
     """Vanishing homology of the pair (complex, subcomplex) at a velocity.
 
     The complex must pass validate (dd = 0) and the subcomplex must be
-    face-closed.  The report carries the absolute, relative and attached
-    dimensions and whether the connecting long exact sequence checks out.
+    face-closed; a face of the wrong dimension or outside the subcomplex
+    raises NotFaceClosed.  The report carries the absolute, relative and
+    attached dimensions and whether the long exact sequence checks out.
     """
     pair = _Pair(c, a, sub, v)
     nodes = pair.les()
@@ -464,7 +479,8 @@ def les_check(c: CellComplex, a: RateAnnotation, sub: CellSet,
     dimension.  Their composite vanishes by construction: the connecting
     map's images are combinations of absolute boundaries, the projection
     kills every attached chain, and an absolute cycle has no boundary.
-    The complex and subcomplex must be as for relative_vanishing.
+    The complex and subcomplex must be as for relative_vanishing
+    (NotFaceClosed for a face of the wrong dimension).
     """
     nodes = _Pair(c, a, sub, v).les()
     return LesReport(velocity=v, nodes=nodes,
@@ -490,13 +506,13 @@ def excision_check(c: CellComplex, a: RateAnnotation, sub: CellSet,
                    cut: CellSet, v: Velocity) -> ExcisionReport:
     """Compare the pair's homology before and after removing a cut set.
 
-    The complex and subcomplex must be as for relative_vanishing.  The cut
-    must sit inside the subcomplex and be closed under cofaces (every cell
-    having a face in the cut is itself in the cut), which keeps the
-    remainder a complex and the shrunken subcomplex face-closed.
+    The complex and subcomplex must be as for relative_vanishing
+    (NotFaceClosed for a face of the wrong dimension).  The cut must sit
+    inside the subcomplex and be closed under cofaces (every cell having a
+    face in the cut is itself in the cut), which keeps the remainder a
+    complex and the shrunken subcomplex face-closed.
     """
     sub, cut = frozenset(sub), frozenset(cut)
-    _require_face_closed(c, sub, "subcomplex")
     if not cut <= sub:
         raise InvalidExcision("cut set escapes the subcomplex")
     for cell in c.cells():

@@ -8,14 +8,15 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from vanhom import (INF, Cell, CellComplex, CellSet, ChainSubspaceComplex,
                     ExcisionReport, ExtRational, GeometricComplex,
-                    IndeterminateAtPrecision, LesNode, LesReport, PairReport,
+                    IndeterminateAtPrecision, LesNode, LesReport,
+                    NotFaceClosed, PairReport,
                     PuiseuxSeries, RateAnnotation, SimplicialBuilder,
                     Subspace, VanishingBettiTable, Velocity, build_torus,
                     chain_boundary, constant, is_thin, rank_of, series,
                     t_power, unit_chains)
 from vanhom.homology import (Chain, IntColumn, _add_scaled, _boundary_columns,
                              _combine, _Eliminator, _integer_reduce,
-                             _require_face_closed, kernel_basis)
+                             kernel_basis)
 from vanhom.puiseux import _EXP, SeriesParseError, _parse_exponent
 from vanhom.thinness import _integer_series, _minor_valuations, _scales
 from vanhom.vanishing import _euler_from_dims, _Pair
@@ -405,6 +406,11 @@ def restrict_chain(chain: Chain, keep: CellSet) -> Chain:
 
 def _ids_of_dim(c: CellComplex, s: CellSet, j: int) -> List[int]:
     return [cid for cid in sorted(s) if c.cell(cid).dim == j]
+
+
+def _require_face_closed(c: CellComplex, s: CellSet, what: str):
+    if not c.is_face_closed(s):
+        raise NotFaceClosed(f"{what} is not closed under faces")
 
 
 def _integer_rank(columns: Iterable[IntColumn]) -> int:

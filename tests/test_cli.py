@@ -327,6 +327,14 @@ class TestErrors:
         code, _, _ = run(capsys, "compute", path, "--velocity", "T^2")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [["validate"],
+                                      ["compute", "--velocity", "T^0"]])
+    def test_deeply_nested_json(self, tmp_path, capsys, argv):
+        # json.load recurses once per level and runs out of stack
+        path = write(tmp_path, "deep.json", "[" * 100_000)
+        assert run(capsys, argv[0], path, *argv[1:]) == (
+            1, "", "error: JSON nesting is too deep to read\n")
+
     def test_bad_velocity(self, torus_doc, capsys):
         code, _, _ = run(capsys, "compute", torus_doc,
                          "--velocity", "banana")

@@ -12,8 +12,9 @@ from vanhom import (INF, DegenerateSimplex, GeometricComplex,
                     IndeterminateAtPrecision, InvalidComplex, MissingRate,
                     Velocity, annotate_geometric, build_pinched_spheres,
                     build_torus, constant, critical_rates, is_thin,
-                    load_document, parse_series, rate_of, series, simplex_rate,
-                    simplex_rates, t_power, vertex_support)
+                    load_document, parse_series, rank_of, rate_of, series,
+                    simplex_rate, simplex_rates, t_power, thinness,
+                    vertex_support)
 
 F = Fraction
 T = t_power
@@ -352,6 +353,29 @@ class TestAnnotateGeometric:
         with pytest.raises(InvalidComplex, match="duplicate simplex"):
             annotate_geometric(g)
 
+    @pytest.mark.parametrize("simplices, text", [
+        ([(0, 0)], "repeated vertex in simplex (0, 0)"),
+        ([(0, 1), (1, 0)], "duplicate simplex on [0, 1]"),
+        ([(0, 1), (0, 1, 2)], "missing face (1, 2) of (0, 1, 2)"),
+    ])
+    def test_structure_refused_before_any_rate(self, monkeypatch, simplices,
+                                               text):
+        # SimplicialBuilder assembles the complex first, so a structural
+        # fault is InvalidComplex and never a DegenerateSimplex
+        g = GeometricComplex(2,
+                             {0: (series(()), series(())),
+                              1: (constant(1), series(())),
+                              2: (series(()), constant(1))},
+                             simplices)
+
+        def no_rates(*args):
+            raise AssertionError("a rate was derived")
+
+        monkeypatch.setattr(thinness, "simplex_rates", no_rates)
+        with pytest.raises(InvalidComplex) as info:
+            annotate_geometric(g)
+        assert info.value.args == (text,)
+
     def test_missing_face_rejected(self):
         g = GeometricComplex(2,
                              {0: (series(()), series(())),
@@ -360,3 +384,70 @@ class TestAnnotateGeometric:
                              [(0, 1), (0, 1, 2)])
         with pytest.raises(Exception):
             annotate_geometric(g)
+
+
+def _transformed(g, point_map):
+    return GeometricComplex(g.ambient_dim,
+                            {vid: point_map(point)
+                             for vid, point in g.vertices.items()},
+                            list(g.simplices))
+
+
+class TestCoordinateChanges:
+    """Rates follow changes of coordinates as the paper's invariants must.
+
+    Each rule runs 20 seeded transforms on each geometric fixture.
+    """
+
+    FIXTURES = (helpers.geometric_torus, helpers.embedded_slab)
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_constant_linear_map_keeps_every_rate(self, fixture):
+        g = fixture()
+        _, rates = annotate_geometric(g)
+        rng = random.Random(6161)
+        n = g.ambient_dim
+        for _ in range(20):
+            matrix = []
+            while rank_of({k: a for k, a in enumerate(row) if a}
+                          for row in matrix) < n:
+                matrix = [[F(rng.randint(-3, 3), rng.randint(1, 3))
+                           for _ in range(n)] for _ in range(n)]
+
+            def apply(point):
+                return tuple(sum((constant(a) * x for a, x in zip(row, point)),
+                                 series(())) for row in matrix)
+
+            _, moved = annotate_geometric(_transformed(g, apply))
+            assert moved == rates, matrix
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_substituting_a_power_of_t_scales_every_rate(self, fixture):
+        g = fixture()
+        _, rates = annotate_geometric(g)
+        rng = random.Random(6262)
+        for _ in range(20):
+            k = F(rng.randint(1, 9), rng.randint(1, 6))
+
+            def substitute(point):
+                return tuple(series([(e * k, c) for e, c in x.terms],
+                                    x.precision if x.precision is INF
+                                    else x.precision * k)
+                             for x in point)
+
+            _, moved = annotate_geometric(_transformed(g, substitute))
+            assert moved == {cid: rate * k for cid, rate in rates.items()}
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_a_common_factor_shifts_every_rate(self, fixture):
+        g = fixture()
+        _, rates = annotate_geometric(g)
+        rng = random.Random(6363)
+        for _ in range(20):
+            c = F(rng.randint(-6, 6), rng.randint(1, 4))
+
+            def scale(point):
+                return tuple(x * T(c) for x in point)
+
+            _, moved = annotate_geometric(_transformed(g, scale))
+            assert moved == {cid: rate + c for cid, rate in rates.items()}

@@ -12,8 +12,10 @@ from helpers import (betti, disjoint_union, filtration, image_betti,
 from vanhom import (INF, Cell, CellComplex, ChainSubspaceComplex,
                     NotFaceClosed, Subspace, Velocity, build_circle,
                     build_pinched_spheres, build_torus, chain_boundary,
-                    critical_rates, is_thin, sweep, thin_chain_complex,
+                    critical_rates, excision_check, is_thin, les_check,
+                    rank_of, relative_vanishing, sweep, thin_chain_complex,
                     vanishing, vanishing_betti, vanishing_betti_oracle)
+from vanhom.homology import _pivot_levels
 
 F = Fraction
 
@@ -360,6 +362,61 @@ class TestSweepAgainstOracle:
             assert_sweep_matches_oracle(*helpers.random_rate_torus(rng, n))
 
 
+def assert_leading_blocks(c, rates):
+    """Pivot counts of each rate-ordered reduction against block ranks.
+
+    Grades c by rate index, as sweep does, and reduces every boundary
+    matrix once with _pivot_levels.  For every degree j and levels (t, s),
+    the pivots with column level >= t and row level < s must count the
+    rational rank of that block of d_j, the property _image_dims reads.
+    Returns the number of blocks compared.
+    """
+    bps = critical_rates(c, rates)
+    index = {rate: i for i, rate in enumerate(bps)}
+    index[INF] = len(bps)
+    graded = vanishing._graded(c, rates, index.__getitem__)
+    level = {cid: lv for cells in graded for lv, cid in cells}
+    levels = range(-1, len(bps) + 2)
+    checked = 0
+    for j in range(1, len(graded)):
+        pivots = _pivot_levels(c, graded, j)
+        for t, s in itertools.product(levels, levels):
+            block = [{face: k for face, k in
+                      chain_boundary(c, {cid: F(1)}).items()
+                      if level[face] < s}
+                     for lv, cid in graded[j] if lv >= t]
+            count = sum(1 for col, row in pivots if col >= t and row < s)
+            assert count == rank_of(block), (j, t, s)
+            checked += 1
+    return checked
+
+
+class TestLeadingBlocks:
+    """Every leading block of one reduction has as many pivots as its rank."""
+
+    def test_random_complexes(self):
+        rng = random.Random(5151)
+        rates = (F(-1), F(0), F(1, 2), F(2), INF)
+        checked = sum(assert_leading_blocks(
+            *helpers.random_complex(rng, rates=rates)) for _ in range(100))
+        assert checked > 4000
+
+    def test_every_rate_assignment_of_the_non_unit_fixtures(self):
+        for build in (helpers.projective_plane, helpers.klein_bottle):
+            c = build()
+            ids = [cell.id for cell in c.cells() if cell.dim > 0]
+            for choice in itertools.product((F(0), F(1), F(2)),
+                                            repeat=len(ids)):
+                assert assert_leading_blocks(c, dict(zip(ids, choice)))
+
+    def test_random_rate_torus(self):
+        c, rates = helpers.random_rate_torus(random.Random(5252), 6)
+        # cells get levels 0..3 from the rates 0..3 and vertices -1; the
+        # blocks run t and s over -1..5, one past every level, in degrees
+        # 1 and 2
+        assert assert_leading_blocks(c, rates) == 2 * 7 * 7
+
+
 class TestFiltrationReference:
     """The engine against image_betti on the thinness filtration levels."""
 
@@ -375,17 +432,62 @@ class TestFiltrationReference:
             assert vanishing_betti(c, rates, v).dims == expected
 
 
+def _unknown_face():
+    """An edge whose second face, 9, is not a cell."""
+    return (CellComplex([Cell(0, 0), Cell(1, 0),
+                         Cell(2, 1, ((-1, 0), (1, 9)))]), {2: F(0)})
+
+
+def _vertex_faced_triangle():
+    """A triangle whose boundary is its three edges plus vertex 0.
+
+    dd is still zero, since a vertex has no boundary, but the vertex is
+    not a 1-cell."""
+    return (CellComplex([Cell(0, 0), Cell(1, 0), Cell(2, 0),
+                         Cell(3, 1, ((-1, 0), (1, 1))),
+                         Cell(4, 1, ((-1, 1), (1, 2))),
+                         Cell(5, 1, ((-1, 0), (1, 2))),
+                         Cell(6, 2, ((1, 3), (1, 4), (-1, 5), (1, 0)))]),
+            {cid: F(0) for cid in range(3, 7)})
+
+
 class TestMalformedComplex:
     def test_face_that_is_not_a_cell_is_not_face_closed(self):
-        c = CellComplex([Cell(0, 0), Cell(1, 0),
-                         Cell(2, 1, ((-1, 0), (1, 9)))])
-        rates = {2: F(0)}
+        c, rates = _unknown_face()
         # the edge is thin at T^0 and thick at T^1; both are refused
         for v in (Velocity(F(0)), Velocity(F(1))):
             with pytest.raises(NotFaceClosed):
                 vanishing_betti(c, rates, v)
         with pytest.raises(NotFaceClosed):
             sweep(c, rates)
+
+    ROUTES = {
+        "sweep": lambda c, a, v: sweep(c, a),
+        "relative_vanishing":
+            lambda c, a, v: relative_vanishing(c, a, frozenset(), v),
+        "les_check": lambda c, a, v: les_check(c, a, frozenset(), v),
+        "excision_check":
+            lambda c, a, v: excision_check(c, a, frozenset(), frozenset(), v),
+    }
+
+    @pytest.mark.parametrize("fixture", [_unknown_face,
+                                         _vertex_faced_triangle])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_every_route_reads_the_face_law_alike(self, fixture, route):
+        c, rates = fixture()
+        v = Velocity(F(0))
+        with pytest.raises(NotFaceClosed) as expected:
+            vanishing_betti(c, rates, v)
+        with pytest.raises(NotFaceClosed) as info:
+            self.ROUTES[route](c, rates, v)
+        assert info.value.args == expected.value.args
+
+    def test_oracle_does_not_share_the_check(self):
+        # the chain route assumes a validated complex, and stays
+        # independent of the engine's grading pass
+        c, rates = _vertex_faced_triangle()
+        assert vanishing_betti_oracle(c, rates, Velocity(F(0))).dims == {
+            0: 0, 1: 1, 2: 0}
 
 
 class TestReportShape:
