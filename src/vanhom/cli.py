@@ -171,19 +171,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_relative(args) -> int:
+def _cmd_pair(args) -> int:
+    # relative and les differ only in the report they print
+    report_of = relative_vanishing if args.command == "relative" else les_check
     doc = _load(args.file)
     v = parse_velocity(args.velocity)
-    report = relative_vanishing(doc.complex, doc.rates,
-                                _subcomplex(doc, args.subcomplex), v)
-    _emit(report.as_dict())
-    return 0
-
-
-def _cmd_les(args) -> int:
-    doc = _load(args.file)
-    v = parse_velocity(args.velocity)
-    report = les_check(doc.complex, doc.rates,
+    report = report_of(doc.complex, doc.rates,
                        _subcomplex(doc, args.subcomplex), v)
     _emit(report.as_dict())
     return 0
@@ -252,6 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="T^q for rates >= q, or >T^q for rates > q")
         return p
 
+    def with_subcomplex(p):
+        p.add_argument("--subcomplex", required=True,
+                       help="name of a declared subcomplex")
+        return p
+
     p = with_file(sub.add_parser("validate", help="check a document"))
     p.set_defaults(func=_cmd_validate)
 
@@ -277,22 +275,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.set_defaults(func=_cmd_sweep)
 
-    p = with_velocity(with_file(sub.add_parser(
-        "relative", help="pair dimensions against a subcomplex")))
-    p.add_argument("--subcomplex", required=True,
-                   help="name of a declared subcomplex")
-    p.set_defaults(func=_cmd_relative)
+    p = with_subcomplex(with_velocity(with_file(sub.add_parser(
+        "relative", help="pair dimensions against a subcomplex"))))
+    p.set_defaults(func=_cmd_pair)
 
-    p = with_velocity(with_file(sub.add_parser(
-        "les", help="long exact sequence of a pair")))
-    p.add_argument("--subcomplex", required=True,
-                   help="name of a declared subcomplex")
-    p.set_defaults(func=_cmd_les)
+    p = with_subcomplex(with_velocity(with_file(sub.add_parser(
+        "les", help="long exact sequence of a pair"))))
+    p.set_defaults(func=_cmd_pair)
 
-    p = with_velocity(with_file(sub.add_parser(
-        "excise", help="excision comparison for a pair")))
-    p.add_argument("--subcomplex", required=True,
-                   help="name of a declared subcomplex")
+    p = with_subcomplex(with_velocity(with_file(sub.add_parser(
+        "excise", help="excision comparison for a pair"))))
     p.add_argument("--cut", required=True,
                    help="comma-separated cell ids to remove, each a "
                         "canonical decimal integer as in the vertex keys; "

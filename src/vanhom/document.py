@@ -22,18 +22,20 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from .cells import Cell, CellComplex, CellSet, validate, vertex_support
+from .cells import Cell, CellComplex, CellSet, validate
 from .puiseux import (INF, ExtRational, PuiseuxSeries, SeriesParseError,
                       format_series, parse_series)
 from .thinness import GeometricComplex, simplex_rates
 
 FORMAT_TAG = "vanhom-complex/1"
 ID_TEXT = re.compile(r"0|-?[1-9][0-9]*")
+_PAIRS = "cell {}: boundary must list [coefficient, face] pairs"
 
 
 class DocumentError(ValueError):
@@ -81,35 +83,41 @@ def _format_rate(rate: ExtRational) -> str:
     return "inf" if rate is INF else str(rate)
 
 
-def _integer(value, what: str, least=None) -> int:
+def _integer(value, what: str, least=None, cid=None) -> int:
     # JSON numbers arrive as int or float, and bool is an int subclass:
     # accept only a real int, so nothing is truncated or coerced
     if type(value) is not int or (least is not None and value < least):
         kind = "an integer" if least is None else f"an integer >= {least}"
-        raise TypeError(f"{what} must be {kind}, got {value!r}")
+        raise TypeError(f"{what.format(cid)} must be {kind}, got {value!r}")
     return value
 
 
-def _cells_from_data(data: dict) -> CellComplex:
-    cells = []
-    for item in data.get("cells", []):
+def _cells_from_data(entries: list) -> Tuple[CellComplex, Dict[int, object]]:
+    """The complex the cell entries describe, and each entry's rate field."""
+    cells, rates = [], {}
+    for item in entries:
         if not isinstance(item, dict):
-            raise TypeError(f"cell entry {item!r} is not an object")
+            # the entry can be as long as the document: echo a bounded part
+            raise TypeError(
+                f"cell entry {reprlib.repr(item)} is not an object")
         cid = _integer(item["id"], "cell id")
         boundary = item.get("boundary", [])
-        if not isinstance(boundary, (list, tuple)) or not all(
-                isinstance(pair, (list, tuple)) and len(pair) == 2
-                for pair in boundary):
-            raise TypeError(
-                f"cell {cid}: boundary must list [coefficient, face] pairs")
-        boundary = tuple(map(tuple, boundary))
-        if not all(type(k) is int and type(f) is int for k, f in boundary):
-            boundary = tuple(
-                (_integer(k, f"cell {cid}: boundary coefficient"),
-                 _integer(f, f"cell {cid}: face id")) for k, f in boundary)
-        cells.append(Cell(cid, _integer(item["dim"], f"cell {cid}: dim", 0),
-                          boundary, item.get("label")))
-    return CellComplex(cells)
+        if not isinstance(boundary, (list, tuple)):
+            raise TypeError(_PAIRS.format(cid))
+        pairs = []  # checked and copied at once: the first bad pair is named
+        for pair in boundary:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise TypeError(_PAIRS.format(cid))
+            k, f = pair
+            if type(k) is not int or type(f) is not int:
+                _integer(k, "cell {}: boundary coefficient", cid=cid)
+                _integer(f, "cell {}: face id", cid=cid)
+            pairs.append((k, f))
+        cells.append(Cell(cid, _integer(item["dim"], "cell {}: dim", 0, cid),
+                          tuple(pairs), item.get("label")))
+        if "rate" in item:
+            rates[cid] = item["rate"]
+    return CellComplex(cells), rates
 
 
 def _geometry_from_data(block, precision_cap) -> GeometricComplex:
@@ -146,70 +154,62 @@ def _vertex_supports(c: CellComplex) -> Dict[int, Optional[CellSet]]:
     """The vertex ids under every cell, in one pass up the dimensions.
 
     A vertex is its own support, and any other cell's is the union of its
-    faces' supports.  A cell with a face that is not a known cell of
-    lower dimension breaks the complex laws, which validate reports: its
-    support is read off its face closure instead, which ends on any face
-    graph, and is None when an unknown face lies under the cell.
+    faces' supports.  A cell gets None unless every face of it is a known
+    cell exactly one dimension down with a support of its own: validate
+    names a broken face once, and nothing is derived over it.
     """
     cells = sorted(c.cells(), key=attrgetter("dim"))
     dims = {cell.id: cell.dim for cell in cells}
     supports: Dict[int, Optional[CellSet]] = {}
     for cell in cells:
-        faces = [f for _, f in cell.boundary]
-        if not all(dims.get(f, cell.dim) < cell.dim for f in faces):
-            try:
-                supports[cell.id] = vertex_support(c, cell.id)
-            except KeyError:
-                supports[cell.id] = None
+        below = [supports[f] if dims.get(f) == cell.dim - 1 else None
+                 for _, f in cell.boundary]
+        if None in below:
+            supports[cell.id] = None
         elif cell.dim == 0:
             supports[cell.id] = frozenset((cell.id,))
         else:
-            below = [supports[f] for f in faces]
-            supports[cell.id] = (None if None in below
-                                 else frozenset().union(*below))
+            supports[cell.id] = frozenset().union(*below)
     return supports
 
 
 def _read_document(data, precision_cap):
     """Check a document and build what it describes, in one pass.
 
-    Returns (problems, open subcomplexes, complex, geometry, explicit
-    rates, supports).  The open subcomplexes are the problems of
-    subcomplexes that are not closed under faces, kept apart from the
-    others: the document still loads with them.  The complex is None when
-    the cells are too malformed to build one; the geometry is None when the
-    document has none or it does not parse.  supports maps each cell whose
-    rate comes from the geometry to its vertex ids, in cell-id order.
+    Returns (problems, subcomplexes, complex, geometry, explicit rates,
+    supports).  subcomplexes maps each declared subcomplex that lists
+    known cells to its ids; its face closure is left to the caller.  The
+    complex is None when the cells are too malformed to build one; the
+    geometry is None when the document has none or it does not parse.
+    supports maps each cell whose rate comes from the geometry to its
+    vertex ids, in cell-id order, and skips a cell over a broken face.
     """
     if not isinstance(data, dict):
-        return ["a document must be a JSON object"], [], None, None, {}, {}
-    problems, unclosed = [], []
+        return ["a document must be a JSON object"], {}, None, None, {}, {}
+    problems = []
     if data.get("format") != FORMAT_TAG:
         problems.append(f"format tag must be {FORMAT_TAG!r}")
     if not isinstance(data.get("cells"), list):
         problems.append("missing cell list")
-        return problems, [], None, None, {}, {}
+        return problems, {}, None, None, {}, {}
     try:
-        c = _cells_from_data(data)
+        c, fields = _cells_from_data(data["cells"])
     except (KeyError, TypeError, ValueError) as exc:
         problems.append(f"malformed cells: {exc}")
-        return problems, [], None, None, {}, {}
+        return problems, {}, None, None, {}, {}
     report = validate(c)
     problems.extend(report.problems)
 
     rated: Dict[int, ExtRational] = {}
-    carried, parsed = set(), {}  # the cells with a rate field; rate texts
-    for item in data["cells"]:
-        cid = item["id"]
-        if "rate" in item:
-            carried.add(cid)
-            if c.cell(cid).dim == 0:
-                problems.append(f"vertex {cid} must not carry a rate")
-                continue
-            try:
-                rated[cid] = _parse_rate(item["rate"], cid, parsed)
-            except DocumentError as exc:
-                problems.append(str(exc))
+    parsed: dict = {}  # each distinct rate text, read once
+    for cid, text in fields.items():
+        if c.cell(cid).dim == 0:
+            problems.append(f"vertex {cid} must not carry a rate")
+            continue
+        try:
+            rated[cid] = _parse_rate(text, cid, parsed)
+        except DocumentError as exc:
+            problems.append(str(exc))
 
     geometry = None
     if "geometry" in data:
@@ -225,13 +225,13 @@ def _read_document(data, precision_cap):
     supports: Dict[int, List[int]] = {}
     under = _vertex_supports(c) if geometry is not None else {}
     for cell in c.cells():
-        if cell.dim == 0 or cell.id in carried:
+        if cell.dim == 0 or cell.id in fields:
             continue  # a rate field that does not parse is named above
         if geometry is None:
             problems.append(f"cell {cell.id} has no rate and no geometry")
             continue
         if under[cell.id] is None:
-            continue  # validate has named the unknown face
+            continue  # validate has named the broken face
         support = supports[cell.id] = sorted(under[cell.id])
         if len(support) != cell.dim + 1:
             problems.append(
@@ -239,11 +239,12 @@ def _read_document(data, precision_cap):
         elif not all(vid in geometry.vertices for vid in support):
             problems.append(f"cell {cell.id} has vertices without coordinates")
 
-    subcomplexes = data.get("subcomplexes", {})
-    if not isinstance(subcomplexes, dict):
+    declared = data.get("subcomplexes", {})
+    if not isinstance(declared, dict):
         problems.append("subcomplexes must map names to cell id lists")
-        subcomplexes = {}
-    for name, ids in subcomplexes.items():
+        declared = {}
+    subcomplexes: Dict[str, CellSet] = {}
+    for name, ids in declared.items():
         if not (isinstance(ids, list)
                 and all(type(i) is int for i in ids)):
             problems.append(f"subcomplex {name!r} must list cell ids")
@@ -251,9 +252,9 @@ def _read_document(data, precision_cap):
         unknown = [i for i in ids if i not in c]
         if unknown:
             problems.append(f"subcomplex {name!r}: unknown cells {unknown}")
-        elif not c.is_face_closed(frozenset(ids)):
-            unclosed.append(f"subcomplex {name!r} is not closed under faces")
-    return problems, unclosed, c, geometry, rated, supports
+        else:
+            subcomplexes[name] = frozenset(ids)
+    return problems, subcomplexes, c, geometry, rated, supports
 
 
 def document_problems(data: dict, precision_cap=None) -> List[str]:
@@ -263,22 +264,25 @@ def document_problems(data: dict, precision_cap=None) -> List[str]:
     geometry coverage and the face-closure of declared subcomplexes.  Ids,
     dimensions, boundary coefficients and ambient_dim must be JSON
     integers, and a rate a string or a JSON integer; a float or a boolean
-    is a problem, never truncated or rounded.
+    is a problem, never truncated or rounded.  A face that is unknown or
+    of the wrong dimension is named once, by the complex laws.
     """
-    problems, unclosed, *_ = _read_document(data, precision_cap)
-    return problems + unclosed
+    problems, subcomplexes, c, *_ = _read_document(data, precision_cap)
+    return problems + [f"subcomplex {name!r} is not closed under faces"
+                       for name, ids in subcomplexes.items()
+                       if not c.is_face_closed(ids)]
 
 
 def load_document(data: dict, precision_cap=None) -> ComplexDocument:
     """Build the annotated complex a document describes.
 
     Structural problems raise DocumentError.  A subcomplex that is not
-    face-closed is not one: it loads as it is, and using it downstream
-    fails.  Rates missing from the cells are derived from the geometry, in
-    cell-id order; deriving can raise IndeterminateAtPrecision or
-    DegenerateSimplex for the first cell that fails.
+    face-closed is not one: it loads as it is, unchecked, and using it
+    downstream fails.  Rates missing from the cells are derived from the
+    geometry, in cell-id order; deriving can raise IndeterminateAtPrecision
+    or DegenerateSimplex for the first cell that fails.
     """
-    problems, _, c, geometry, rates, supports = _read_document(
+    problems, subcomplexes, c, geometry, rates, supports = _read_document(
         data, precision_cap)
     if problems:
         raise DocumentError("; ".join(problems))
@@ -287,8 +291,6 @@ def load_document(data: dict, precision_cap=None) -> ComplexDocument:
     if supports:
         rates.update(zip(supports,
                          simplex_rates(geometry, supports.values())))
-    subcomplexes = {name: frozenset(ids)
-                    for name, ids in data.get("subcomplexes", {}).items()}
     return ComplexDocument(complex=c, rates=dict(sorted(rates.items())),
                            subcomplexes=subcomplexes, name=data.get("name"),
                            warnings=warnings)

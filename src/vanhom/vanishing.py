@@ -511,6 +511,11 @@ def excision_check(c: CellComplex, a: RateAnnotation, sub: CellSet,
     inside the subcomplex and be closed under cofaces (every cell having a
     face in the cut is itself in the cut), which keeps the remainder a
     complex and the shrunken subcomplex face-closed.
+
+    Both pairs have one relative complex, so equal cannot read false once
+    the cut passes these checks: each has the cells X-S outside its
+    subcomplex, with the same boundaries once faces in S are dropped (no
+    cell outside S has a face in the cut), and _Pair keys them alike.
     """
     sub, cut = frozenset(sub), frozenset(cut)
     if not cut <= sub:

@@ -321,6 +321,15 @@ def torus_pair(n):
     return c, rates, meridian, band, band - rim
 
 
+def quotient_complex(c: CellComplex, sub: CellSet) -> CellComplex:
+    """X∖S: the cells outside sub, each with its faces in sub dropped."""
+    return CellComplex(
+        Cell(cell.id, cell.dim,
+             tuple((k, f) for k, f in cell.boundary if f not in sub),
+             cell.label)
+        for cell in c.cells() if cell.id not in sub)
+
+
 # -- reference routes of the earlier design ------------------------------
 #
 # Betti numbers and image ranks of cell sets, the thinness filtration as

@@ -335,6 +335,21 @@ class TestErrors:
         assert run(capsys, argv[0], path, *argv[1:]) == (
             1, "", "error: JSON nesting is too deep to read\n")
 
+    # a cell entry may be as long as the document: a bounded part of it
+    # is shown, however long or deep it is
+    @pytest.mark.parametrize("entry, shown", [
+        (json.dumps(list(range(100_000))), "[0, 1, 2, 3, 4, 5, ...]"),
+        ("[" * 900 + "]" * 900, "[[[[[[[...]]]]]]]")],
+        ids=["100000 integers", "900 deep"])
+    def test_long_cell_entry_is_echoed_in_part(self, tmp_path, capsys, entry,
+                                               shown):
+        path = write(tmp_path, "long.json",
+                     '{"format": "%s", "cells": [%s]}' % (TAG, entry))
+        problem = f"malformed cells: cell entry {shown} is not an object"
+        assert run(capsys, "validate", path) == (1, f"{problem}\n", "")
+        assert run(capsys, "compute", path, "--velocity", "T^0") == (
+            1, "", f"error: {problem}\n")
+
     def test_bad_velocity(self, torus_doc, capsys):
         code, _, _ = run(capsys, "compute", torus_doc,
                          "--velocity", "banana")

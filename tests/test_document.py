@@ -14,9 +14,10 @@ import pytest
 
 from vanhom import (INF, Cell, CellComplex, DegenerateSimplex,
                     GeometricComplex, IndeterminateAtPrecision,
-                    SeriesParseError, SimplicialBuilder, document_dict,
-                    document_problems, load_document, parse_series,
-                    simplex_rate, vertex_support)
+                    SeriesParseError, SimplicialBuilder,
+                    build_pinched_spheres, document_dict, document_problems,
+                    load_document, parse_series, simplex_rate,
+                    vertex_support)
 from vanhom.document import _fraction, _read_document, _vertex_supports
 
 # equal series under distinct texts ("T^2", "T^ 2", "T ^ 2"), truncated
@@ -157,8 +158,8 @@ class TestSharedPieces:
 
 class TestBrokenFaceGraphs:
     def test_cells_naming_each_other_as_faces(self):
-        # 1-cell 2 has face 3 and 1-cell 3 has face 2: a face closure
-        # must end, and the problems are those the face closure gives
+        # 1-cell 2 has face 3 and 1-cell 3 has face 2: each broken face is
+        # named once, by the complex laws, and nothing is derived over it
         data = {"format": "vanhom-complex/1",
                 "cells": [{"id": 0, "dim": 0, "boundary": []},
                           {"id": 1, "dim": 0, "boundary": []},
@@ -168,9 +169,7 @@ class TestBrokenFaceGraphs:
                              "vertices": {"0": ["0"], "1": ["T"]}}}
         assert document_problems(data) == [
             "cell 2 (dim 1): face 3 has dim 1",
-            "cell 3 (dim 1): face 2 has dim 1",
-            "cell 2 is not a simplex; cannot rate it from geometry",
-            "cell 3 is not a simplex; cannot rate it from geometry"]
+            "cell 3 (dim 1): face 2 has dim 1"]
 
     @pytest.mark.parametrize("seed", range(60))
     def test_supports_equal_the_face_closure(self, seed):
@@ -183,13 +182,67 @@ class TestBrokenFaceGraphs:
             cells.append(Cell(cid, rng.randint(0, 3),
                               tuple((1, f) for f in faces)))
         c = CellComplex(cells)
+
+        def graded(cid):
+            # every face, all the way down, a known cell one dimension down
+            dim = c.cell(cid).dim
+            return all(f in c and c.cell(f).dim == dim - 1 and graded(f)
+                       for _, f in c.cell(cid).boundary)
+
         derived = _vertex_supports(c)
         for cid in c:
-            try:
-                expected = vertex_support(c, cid)
-            except KeyError:
-                expected = None
+            expected = vertex_support(c, cid) if graded(cid) else None
             assert derived[cid] == expected
+
+
+class Walked(list):
+    """A list that counts how often it is iterated."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+class TestReadOnce:
+    @pytest.mark.parametrize("data", [
+        random_geometric_document(0),
+        TestSharedPieces.circle("1/2", 1, "inf")])
+    def test_cells_and_boundaries_walked_once(self, data):
+        data["cells"] = Walked(dict(item, boundary=Walked(item["boundary"]))
+                               for item in data["cells"])
+        assert document_problems(data) == []
+        assert data["cells"].walks == 1
+        assert {item["boundary"].walks for item in data["cells"]} == {1}
+
+    def test_load_makes_no_face_closure_check(self, monkeypatch):
+        c, rates, circle = build_pinched_spheres(2, 3)
+        loose = frozenset([max(c)])  # a triangle without its faces
+        data = document_dict(c, rates, subcomplexes={"circle": circle,
+                                                     "loose": loose})
+        assert document_problems(data) == [
+            "subcomplex 'loose' is not closed under faces"]
+
+        def fail(self, s):
+            raise AssertionError("is_face_closed called while loading")
+
+        monkeypatch.setattr(CellComplex, "is_face_closed", fail)
+        doc = load_document(data)
+        assert doc.subcomplexes == {"circle": circle, "loose": loose}
+
+    @pytest.mark.parametrize("boundary, problem", [
+        # a type fault in an earlier pair comes before a shape fault
+        ([[1.5, 0], [1]],
+         "cell 2: boundary coefficient must be an integer, got 1.5"),
+        ([[1, "0"], [1, 1, 1]], "cell 2: face id must be an integer, got '0'"),
+        ([[1], [1.5, 0]],
+         "cell 2: boundary must list [coefficient, face] pairs"),
+        ("01", "cell 2: boundary must list [coefficient, face] pairs")])
+    def test_first_faulty_pair_is_named(self, boundary, problem):
+        data = TestSharedPieces.circle(1, 1)
+        data["cells"][2]["boundary"] = boundary
+        assert document_problems(data) == [f"malformed cells: {problem}"]
 
 
 class TestRationalText:

@@ -296,6 +296,58 @@ class TestReferenceEquivalence:
         assert_matches_reference(c, rates, band, v, cut)
 
 
+class TestQuotientComplex:
+    """The relative groups are the vanishing groups of the quotient X∖S:
+    the cells outside S, each with its faces in S dropped."""
+
+    @staticmethod
+    def assert_quotient(c, rates, sub, v):
+        relative = relative_vanishing(c, rates, sub, v).relative
+        quotient = vanishing_betti(helpers.quotient_complex(c, sub), rates,
+                                   v).dims
+        for j in set(relative) | set(quotient):
+            assert relative.get(j, 0) == quotient.get(j, 0), (
+                j, sorted(c.cell_ids()), sorted(sub), v)
+
+    def test_random_triples(self):
+        rng = random.Random(320)
+        for i in range(300):
+            c, rates = helpers.random_complex(rng)
+            if i % 10 == 0:
+                sub = frozenset()
+            elif i % 10 == 1:
+                sub = c.cell_ids()
+            else:
+                sub = helpers.random_subcomplex(rng, c)
+            v = Velocity(F(rng.randint(-1, 3), rng.choice([1, 2])),
+                         strict=i % 2 == 0)
+            self.assert_quotient(c, rates, sub, v)
+
+    def test_every_rate_on_non_unit_coefficients(self):
+        velocities = [Velocity(F(q), strict=strict)
+                      for q in range(3) for strict in (False, True)]
+        for build in (helpers.projective_plane, helpers.klein_bottle):
+            c = build()
+            ids = sorted(c.cell_ids())
+            subs = {c.face_closure(seed) for k in range(len(ids) + 1)
+                    for seed in itertools.combinations(ids, k)}
+            positive = [cid for cid in ids if c.cell(cid).dim > 0]
+            for choice in itertools.product((F(0), F(1), F(2)),
+                                            repeat=len(positive)):
+                rates = dict(zip(positive, choice))
+                for sub in subs:
+                    for v in velocities:
+                        self.assert_quotient(c, rates, sub, v)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_torus_meridian(self, n):
+        c, rates, meridian, _, _ = helpers.torus_pair(n)
+        for q in (0, 2):
+            for strict in (False, True):
+                self.assert_quotient(c, rates, meridian,
+                                     Velocity(F(q), strict=strict))
+
+
 class TestLargerPairs:
     def test_pinched_circle_leaves_nothing_relative(self):
         c, rates, circle = build_pinched_spheres(2, 16)
