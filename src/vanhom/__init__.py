@@ -17,8 +17,7 @@ from .puiseux import (INF, ONE, ZERO, ExtRational, IndeterminateAtPrecision,
                       velocity_contains)
 from .cells import (Cell, CellComplex, CellSet, InvalidComplex, NotFaceClosed,
                     SimplicialBuilder, ValidationReport, build_circle,
-                    build_pinched_spheres, build_torus, validate,
-                    vertex_support)
+                    build_pinched_spheres, build_torus, validate)
 from .thinness import (DegenerateSimplex, GeometricComplex, MissingRate,
                        RateAnnotation, annotate_geometric, critical_rates,
                        is_thin, rate_of, simplex_rate, simplex_rates)

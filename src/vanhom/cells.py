@@ -237,12 +237,6 @@ class SimplicialBuilder:
         return CellComplex(self._cells)
 
 
-def vertex_support(c: CellComplex, cid: int) -> CellSet:
-    """All vertices under a cell, via iterated faces."""
-    return frozenset(i for i in c.face_closure([cid])
-                     if c.cell(i).dim == 0)
-
-
 # -- builders ------------------------------------------------------------
 
 

@@ -50,12 +50,7 @@ _PRECONDITION_ERRORS = (NotFaceClosed, InvalidExcision)
 
 def _precision_cap():
     text = os.environ.get("VANHOM_PRECISION")
-    if text is None:
-        return None
-    try:
-        return _fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise SeriesParseError(f"bad VANHOM_PRECISION {text!r}") from None
+    return None if text is None else _rational(text, "VANHOM_PRECISION")
 
 
 def _read(path: str) -> dict:

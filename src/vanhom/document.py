@@ -7,12 +7,9 @@ giving truncated Puiseux coordinates for every vertex.  Cells may take
 their rate directly from the ``rate`` field or have it derived from the
 geometry; an explicit rate wins over geometry, with a warning.
 
-Loading reads each piece a document shares once: each distinct
-coordinate or rate text is parsed once and the precision cap read once, so
-equal texts share one frozen series or one rate, and the vertex support of
-every cell comes from its faces' supports in one pass up the dimensions.
-Rates and the precision cap are rational text, read without the '_'
-digit separators that Fraction takes from Python 3.11 on.
+Loading reads each piece a document shares once: equal coordinate or
+rate texts share one parsed value, and vertex supports come from the
+faces' supports in one pass.  Rates are rational text (see _fraction).
 
 Writing is canonical and byte-stable: cells sorted by id, keys sorted,
 rates as exact fraction strings.
@@ -23,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 import reprlib
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
@@ -54,12 +52,17 @@ class ComplexDocument:
 
 
 def _fraction(text: str) -> Fraction:
-    """Fraction(text), without the '_' digit separators of Python 3.11.
+    """Fraction(text), if str() can print it, without the '_' digit
+    separators that Fraction takes from Python 3.11 on.
 
-    Fraction takes "1_0" as 10 from 3.11 on and rejects it on 3.10; it is
-    rejected on every version, so a document means the same everywhere.
+    Neither term has more digits than len(text) plus the exponent's size:
+    that is bounded by the int-to-str digit limit before Fraction expands
+    the exponent.
     """
-    if "_" in text:
+    exp = re.search(r"[eE]([-+]?\d+)\s*\Z", text)
+    digits = len(text) + (abs(int(exp[1])) if exp else 0)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if "_" in text or 0 < limit < digits:
         raise ValueError(f"invalid literal for Fraction: {text!r}")
     return Fraction(text)
 
@@ -113,6 +116,10 @@ def _cells_from_data(entries: list) -> Tuple[CellComplex, Dict[int, object]]:
                 _integer(k, "cell {}: boundary coefficient", cid=cid)
                 _integer(f, "cell {}: face id", cid=cid)
             pairs.append((k, f))
+        label = item.get("label", "")  # printed as a field of a TSV line
+        if not isinstance(label, str) or re.search("[\t\r\n]", label):
+            raise TypeError(f"cell {cid}: label must be a string without tab "
+                            f"or line break, got {reprlib.repr(label)}")
         cells.append(Cell(cid, _integer(item["dim"], "cell {}: dim", 0, cid),
                           tuple(pairs), item.get("label")))
         if "rate" in item:

@@ -119,6 +119,13 @@ def coface_closure(c: CellComplex, seed) -> CellSet:
     return frozenset(cut)
 
 
+def vertex_support(c: CellComplex, cid: int) -> CellSet:
+    """All vertices under a cell, via iterated faces: the reference for
+    the one-pass supports the document loader derives."""
+    return frozenset(i for i in c.face_closure([cid])
+                     if c.cell(i).dim == 0)
+
+
 def random_cut(rng, c: CellComplex, sub: CellSet):
     """A random removable set inside sub, or None if the draw fails.
 

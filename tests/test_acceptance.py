@@ -14,13 +14,12 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from helpers import betti, disjoint_union, filtration
+from helpers import betti, disjoint_union, filtration, vertex_support
 from vanhom import (PuiseuxSeries, Velocity, annotate_geometric, build_circle,
                     build_pinched_spheres, build_torus, constant,
                     dumps_document, document_dict, excision_check, les_check,
                     relative_vanishing, series, sweep, t_power, valuation,
-                    vanishing_betti, vanishing_betti_oracle, velocity_contains,
-                    vertex_support)
+                    vanishing_betti, vanishing_betti_oracle, velocity_contains)
 from vanhom.cli import main
 
 F = Fraction

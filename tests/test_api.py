@@ -19,7 +19,6 @@ PUBLIC = [
     "relative_vanishing", "series", "simplex_rate", "simplex_rates", "sweep",
     "t_power", "thin_chain_complex", "unit_chains", "validate", "valuation",
     "vanishing_betti", "vanishing_betti_oracle", "velocity_contains",
-    "vertex_support",
 ]
 
 

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from helpers import betti, disjoint_union
+from helpers import betti, disjoint_union, vertex_support
 from vanhom import (Cell, CellComplex, InvalidComplex, NotFaceClosed,
                     SimplicialBuilder, build_circle, build_pinched_spheres,
-                    build_torus, validate, vertex_support)
+                    build_torus, validate)
 
 F = Fraction
 

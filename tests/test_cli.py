@@ -417,6 +417,39 @@ class TestErrors:
         assert run(capsys, "example", which, flag, "1_0") == (
             1, "", f"error: bad {flag} '1_0'\n")
 
+    # Fraction expands an exponent in full, and str() prints no integer of
+    # more digits than sys.get_int_max_str_digits() allows
+    @pytest.mark.parametrize("text", ["1e5000", "1e-5000"])
+    def test_rate_beyond_the_digit_limit(self, tmp_path, capsys, text):
+        path = write(tmp_path, "edge.json", edge_doc(rate=text))
+        assert run(capsys, "validate", path) == (1, f"bad rate {text!r}\n",
+                                                 "")
+        for command in ("rates", "sweep"):
+            assert run(capsys, command, path) == (
+                1, "", f"error: bad rate {text!r}\n")
+
+    def test_example_rate_beyond_the_digit_limit(self, capsys):
+        assert run(capsys, "example", "circle", "--rate", "1e5000") == (
+            1, "", "error: bad --rate '1e5000'\n")
+
+    # rates prints the label as the last field of a tab-separated line
+    @pytest.mark.parametrize("label", [["a", "b"], 7, None, "a\tb", "a\nb",
+                                       "a\rb"])
+    def test_label_that_is_no_tsv_field(self, tmp_path, capsys, label):
+        doc = edge_doc(rate="1")
+        doc["cells"][2]["label"] = label
+        path = write(tmp_path, "edge.json", doc)
+        problem = (f"malformed cells: cell 2: label must be a string without "
+                   f"tab or line break, got {label!r}")
+        assert run(capsys, "validate", path) == (1, f"{problem}\n", "")
+        assert run(capsys, "rates", path) == (1, "", f"error: {problem}\n")
+
+    def test_label_is_the_last_rates_field(self, tmp_path, capsys):
+        doc = edge_doc(rate="1")
+        doc["cells"][2]["label"] = "edge 2, é"
+        path = write(tmp_path, "edge.json", doc)
+        assert run(capsys, "rates", path)[:2] == (0, "2\t1\t1\tedge 2, é\n")
+
     def test_load_failure_on_structurally_bad_document(self, tmp_path,
                                                        capsys):
         doc = {"format": TAG,

@@ -12,12 +12,12 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import vertex_support
 from vanhom import (INF, Cell, CellComplex, DegenerateSimplex,
                     GeometricComplex, IndeterminateAtPrecision,
                     SeriesParseError, SimplicialBuilder,
                     build_pinched_spheres, document_dict, document_problems,
-                    load_document, parse_series, simplex_rate,
-                    vertex_support)
+                    load_document, parse_series, simplex_rate)
 from vanhom.document import _fraction, _read_document, _vertex_supports
 
 # equal series under distinct texts ("T^2", "T^ 2", "T ^ 2"), truncated
@@ -156,6 +156,22 @@ class TestSharedPieces:
         assert document_problems(data, precision_cap=1) == expected
 
 
+def face_graph(seed):
+    """A random face graph: each cell's faces come mostly from the cells one
+    dimension down, and otherwise from any id, an unknown one included
+    (wrong dimensions, cycles, unknown faces)."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    dims = [rng.randint(0, 3) for _ in range(n)]
+    cells = []
+    for cid, dim in enumerate(dims):
+        below = [f for f in range(n) if dims[f] == dim - 1]
+        pool = below if rng.random() < 0.85 else range(n + 2)
+        faces = rng.sample(pool, min(rng.randint(1, 3), len(pool)))
+        cells.append(Cell(cid, dim, tuple((1, f) for f in faces)))
+    return CellComplex(cells)
+
+
 class TestBrokenFaceGraphs:
     def test_cells_naming_each_other_as_faces(self):
         # 1-cell 2 has face 3 and 1-cell 3 has face 2: each broken face is
@@ -173,15 +189,7 @@ class TestBrokenFaceGraphs:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_supports_equal_the_face_closure(self, seed):
-        # random face graphs: wrong dimensions, cycles, unknown faces
-        rng = random.Random(seed)
-        n = rng.randint(3, 9)
-        cells = []
-        for cid in range(n):
-            faces = rng.sample(range(n + 2), rng.randint(0, 3))
-            cells.append(Cell(cid, rng.randint(0, 3),
-                              tuple((1, f) for f in faces)))
-        c = CellComplex(cells)
+        c = face_graph(seed)
 
         def graded(cid):
             # every face, all the way down, a known cell one dimension down
@@ -193,6 +201,15 @@ class TestBrokenFaceGraphs:
         for cid in c:
             expected = vertex_support(c, cid) if graded(cid) else None
             assert derived[cid] == expected
+
+    def test_face_graphs_reach_both_paths(self):
+        # the seeds above derive many supports as unions of faces' supports,
+        # and skip many cells over a broken face
+        supports = [(c.cell(cid).dim, support)
+                    for c in map(face_graph, range(60))
+                    for cid, support in _vertex_supports(c).items()]
+        assert sum(dim > 0 and bool(s) for dim, s in supports) >= 100
+        assert sum(s is None for _, s in supports) >= 100
 
 
 class Walked(list):

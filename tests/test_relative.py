@@ -8,10 +8,11 @@ import pytest
 
 import helpers
 from helpers import attached_chain_complex, restrict_chain
-from vanhom import (InvalidExcision, MissingRate, NotFaceClosed, Subspace,
-                    Velocity, build_circle, build_pinched_spheres, build_torus,
-                    chain_boundary, excision_check, les_check, rank_of,
-                    relative_vanishing, thin_chain_complex, vanishing_betti)
+from vanhom import (CellComplex, InvalidExcision, MissingRate, NotFaceClosed,
+                    Subspace, Velocity, build_circle, build_pinched_spheres,
+                    build_torus, chain_boundary, excision_check, les_check,
+                    rank_of, relative_vanishing, thin_chain_complex,
+                    vanishing_betti)
 from vanhom import vanishing
 from vanhom.vanishing import _class_rank, _Pair
 
@@ -221,20 +222,58 @@ class TestExcision:
             # vertex 1 is a face of the surviving edge 8
             excision_check(c, rates, sub, frozenset([1, 6]), Velocity(F(2)))
 
-    def test_random_valid_cuts(self):
-        rng = random.Random(317)
-        done = 0
-        while done < 25:
+
+class TestExcisionIdentity:
+    """A removable cut W of S leaves the relative complex as it is: the
+    pairs (X, S) and (X-W, S-W) have one relative chain complex, X-S, so
+    excision_check builds only the first."""
+
+    @staticmethod
+    def relative(pair):
+        # chain spaces, representatives and dimensions, on cell ids; a
+        # degree the complex lacks reads as an empty one
+        spaces = {j: {pair.cells[low]: pair.cell_chain(x)
+                      for low, x in echelon.items()}
+                  for j, echelon in pair.chains["relative"].items()}
+        reps = {j: [pair.cell_chain(x) for x in chains]
+                for j, chains in pair.reps["relative"].items()}
+        return [{j: x for j, x in table.items() if x}
+                for table in (spaces, reps, pair.dims["relative"])]
+
+    def test_random_removable_cuts(self):
+        # at strict and non-strict velocities in turn
+        rng = random.Random(2025)
+        cases = 0
+        while cases < 300:
             c, rates = helpers.random_complex(rng)
             sub = helpers.random_subcomplex(rng, c)
             cut = helpers.random_cut(rng, c, sub)
-            if cut is None or not cut:
+            if cut is None:
                 continue
-            v = Velocity(F(rng.randint(0, 3)))
-            rep = excision_check(c, rates, sub, cut, v)
-            assert rep.equal, (sorted(c.cell_ids()), sorted(sub),
-                               sorted(cut), v)
-            done += 1
+            v = Velocity(F(rng.randint(0, 3), rng.choice([1, 2])),
+                         strict=cases % 2 == 0)
+            rest = c.restrict(c.cell_ids() - cut)
+            assert (self.relative(_Pair(c, rates, sub, v))
+                    == self.relative(_Pair(rest, rates, sub - cut, v))), (
+                sorted(c.cell_ids()), sorted(sub), sorted(cut), v)
+            cases += 1
+
+    def test_builds_one_pair_and_no_copy(self, monkeypatch):
+        pairs, copies, restrict_ = [], [], CellComplex.restrict
+
+        def pair(*args):
+            pairs.append(args)
+            return _Pair(*args)
+
+        def restrict(self, s):
+            copies.append(s)
+            return restrict_(self, s)
+        monkeypatch.setattr(vanishing, "_Pair", pair)
+        monkeypatch.setattr(CellComplex, "restrict", restrict)
+        c, rates, meridian, band, cut = helpers.torus_pair(4)
+        rep = excision_check(c, rates, band, cut, Velocity(F(2)))
+        assert len(pairs) == 1 and pairs[0][0] is c and not copies
+        assert rep.full == rep.excised and rep.equal
 
 
 def assert_matches_reference(c, rates, sub, v, cut=None):

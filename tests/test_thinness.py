@@ -7,14 +7,13 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from helpers import filtration, invariant_factor_valuations
+from helpers import filtration, invariant_factor_valuations, vertex_support
 from vanhom import (INF, DegenerateSimplex, GeometricComplex,
                     IndeterminateAtPrecision, InvalidComplex, MissingRate,
                     Velocity, annotate_geometric, build_pinched_spheres,
                     build_torus, constant, critical_rates, is_thin,
                     load_document, parse_series, rank_of, rate_of, series,
-                    simplex_rate, simplex_rates, t_power, thinness,
-                    vertex_support)
+                    simplex_rate, simplex_rates, t_power, thinness)
 
 F = Fraction
 T = t_power
