@@ -136,12 +136,14 @@ def validate(c: CellComplex) -> ValidationReport:
     cell r two dimensions down, sum over faces t of coef(s,t)*coef(t,r) = 0.
     """
     problems = []
-    for cell in c.cells():
+    cells, by_id = c.cells(), c._cells
+    for cell in cells:
         for coeff, face in cell.boundary:
-            if face not in c:
+            found = by_id.get(face)
+            if found is None:
                 problems.append(f"cell {cell.id}: unknown face {face}")
                 continue
-            fdim = c.cell(face).dim
+            fdim = found.dim
             if fdim != cell.dim - 1:
                 problems.append(
                     f"cell {cell.id} (dim {cell.dim}): face {face} has dim {fdim}")
@@ -150,12 +152,12 @@ def validate(c: CellComplex) -> ValidationReport:
         if cell.dim == 0 and cell.boundary:
             problems.append(f"vertex {cell.id} has a boundary")
     if not problems:
-        for cell in c.cells():
+        for cell in cells:
             if cell.dim < 2:
                 continue
             acc: Dict[int, int] = {}
             for coeff, face in cell.boundary:
-                for coeff2, face2 in c.cell(face).boundary:
+                for coeff2, face2 in by_id[face].boundary:
                     acc[face2] = acc.get(face2, 0) + coeff * coeff2
             for rid, total in acc.items():
                 if total != 0:

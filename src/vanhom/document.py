@@ -34,6 +34,7 @@ from .thinness import GeometricComplex, simplex_rates
 FORMAT_TAG = "vanhom-complex/1"
 ID_TEXT = re.compile(r"0|-?[1-9][0-9]*")
 _PAIRS = "cell {}: boundary must list [coefficient, face] pairs"
+_LABEL_BREAK = re.compile("[\t\r\n]")
 
 
 class DocumentError(ValueError):
@@ -95,6 +96,13 @@ def _integer(value, what: str, least=None, cid=None) -> int:
     return value
 
 
+def _check_label(label, cid: int, error) -> None:
+    # a label is printed as a field of a TSV line
+    if not isinstance(label, str) or _LABEL_BREAK.search(label):
+        raise error(f"cell {cid}: label must be a string without tab or "
+                    f"line break, got {reprlib.repr(label)}")
+
+
 def _cells_from_data(entries: list) -> Tuple[CellComplex, Dict[int, object]]:
     """The complex the cell entries describe, and each entry's rate field."""
     cells, rates = [], {}
@@ -103,7 +111,9 @@ def _cells_from_data(entries: list) -> Tuple[CellComplex, Dict[int, object]]:
             # the entry can be as long as the document: echo a bounded part
             raise TypeError(
                 f"cell entry {reprlib.repr(item)} is not an object")
-        cid = _integer(item["id"], "cell id")
+        cid = item["id"]
+        if type(cid) is not int:
+            _integer(cid, "cell id")
         boundary = item.get("boundary", [])
         if not isinstance(boundary, (list, tuple)):
             raise TypeError(_PAIRS.format(cid))
@@ -116,12 +126,13 @@ def _cells_from_data(entries: list) -> Tuple[CellComplex, Dict[int, object]]:
                 _integer(k, "cell {}: boundary coefficient", cid=cid)
                 _integer(f, "cell {}: face id", cid=cid)
             pairs.append((k, f))
-        label = item.get("label", "")  # printed as a field of a TSV line
-        if not isinstance(label, str) or re.search("[\t\r\n]", label):
-            raise TypeError(f"cell {cid}: label must be a string without tab "
-                            f"or line break, got {reprlib.repr(label)}")
-        cells.append(Cell(cid, _integer(item["dim"], "cell {}: dim", 0, cid),
-                          tuple(pairs), item.get("label")))
+        label = item.get("label")
+        if "label" in item:
+            _check_label(label, cid, TypeError)
+        dim = item["dim"]
+        if type(dim) is not int or dim < 0:
+            _integer(dim, "cell {}: dim", 0, cid)
+        cells.append(Cell(cid, dim, tuple(pairs), label))
         if "rate" in item:
             rates[cid] = item["rate"]
     return CellComplex(cells), rates
@@ -307,7 +318,11 @@ def document_dict(c: CellComplex, rates: Dict[int, ExtRational],
                   subcomplexes: Optional[Dict[str, CellSet]] = None,
                   name: Optional[str] = None,
                   geometry: Optional[GeometricComplex] = None) -> dict:
-    """The canonical JSON-ready form of an annotated complex."""
+    """The canonical JSON-ready form of an annotated complex.
+
+    A label that loading would refuse, one that is not a string or that
+    holds a tab or a line break, raises ValueError naming its cell.
+    """
     cells = []
     for cell in c.cells():
         item: dict = {"id": cell.id, "dim": cell.dim,
@@ -315,6 +330,7 @@ def document_dict(c: CellComplex, rates: Dict[int, ExtRational],
         if cell.id in rates:
             item["rate"] = _format_rate(rates[cell.id])
         if cell.label is not None:
+            _check_label(cell.label, cell.id, ValueError)
             item["label"] = cell.label
         cells.append(item)
     out: dict = {"format": FORMAT_TAG, "cells": cells}

@@ -11,7 +11,9 @@ Nothing here is a numerical estimate; there are two exact routes.
   homology by including one level of a filtration into the next is a
   cell count combined with such ranks, and at every cut those ranks are
   counts of the pivots of one level-ordered reduction per boundary
-  matrix (:func:`_pivot_levels`, :func:`_image_dims`).  The pair theory
+  matrix (:func:`_pivot_levels`, :func:`_image_dims`).  Those reductions
+  run top-down with clearing: d_j skips the columns of the cells that are
+  pivot rows of d_(j+1), which would reduce to zero.  The pair theory
   in :mod:`vanhom.vanishing` is the short exact sequence
   0 -> A -> P -> Q -> 0 of chain complexes; one
   such elimination per complex and degree, top-down, of the boundaries of
@@ -33,7 +35,8 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .cells import CellComplex
 
@@ -314,20 +317,31 @@ Graded = List[List[Tuple[int, int]]]
 
 
 def _pivot_levels(c: CellComplex, graded: Graded, j: int,
-                  cut: Optional[int] = None) -> List[Tuple[int, int]]:
+                  cut: Optional[int] = None,
+                  clear: Optional[Set[int]] = None) -> List[Tuple[int, int]]:
     """Reduce d_j once: the (column level, row level) of each pivot.
 
     Columns run by descending level and row keys by ascending level, so at
     any cut the columns in it and the rows below it are leading runs, and
     the pivots inside such a block count its rank.  With a cut, only the
     columns in it are reduced.  graded is from vanishing._graded.
+
+    clear, when given, holds the pivot-row cells of d_(j+1), reduced the
+    same way: their columns are skipped, and it is refilled with those of
+    d_j (clearing, Chen and Kerber 2011).  The reduced column at pivot row
+    r is a boundary led by r, so r's column reduces to zero against the
+    columns before it, which are in any cut that holds r.
     """
     keys = {cid: key for key, (_, cid) in enumerate(graded[j - 1])}
+    skip = clear or ()
     cols = [(level, cid) for level, cid in reversed(graded[j])
-            if cut is None or level >= cut]
+            if (cut is None or level >= cut) and cid not in skip]
     pivots, _ = _integer_reduce(
         {keys[face]: k for face, k in col.items()}
         for col in _boundary_columns(c, [cid for _, cid in cols]))
+    if clear is not None:
+        clear.clear()
+        clear.update(graded[j - 1][key][1] for key in pivots.values())
     return [(cols[col][0], graded[j - 1][key][0])
             for col, key in pivots.items()]
 

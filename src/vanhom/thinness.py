@@ -23,7 +23,16 @@ truncation rules are those of PuiseuxSeries arithmetic, unchanged: a sum
 is known below the least precision of its parts, a product below
 min(prec_b + low_a, prec_a + low_b), and terms at or past the precision
 are dropped.  A document's vertices are converted once, with one D and
-one L, and every simplex's difference rows are formed from them.
+one L.
+
+Minors are memoised per document, keyed by base vertex.  One call of
+simplex_rates keeps, for each first vertex v0, the difference rows
+(v0, v) and the minors (v0, row vertices, columns), each Laplace-expanded
+once along its first row from the minors of the remaining rows; next to
+them, per row set, the least leading exponent and the least precision of
+a minor with no known term.  A simplex (v0, v1, ..., vk) so expands only
+its own size-k minors, and at each smaller size reads those aggregates
+off the row sets of its faces through v0.  The table lives for the call.
 
 The thinness filtration at velocity v puts into level j every cell of
 dimension below j together with the thin cells of dimension exactly j.
@@ -39,7 +48,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from .cells import CellComplex, InvalidComplex, SimplicialBuilder
 from .puiseux import (INF, ExtRational, IndeterminateAtPrecision, PuiseuxSeries,
@@ -144,6 +154,8 @@ def _integer_series(s: PuiseuxSeries, d: int, scale: int) -> _IntSeries:
 
 
 def _canonical(acc: Dict[int, int], prec: _IntPrecision) -> _IntSeries:
+    if prec is INF:  # spares a comparison with INF (a Python call) per term
+        return {e: c for e, c in acc.items() if c}, prec
     return {e: c for e, c in acc.items() if c and e < prec}, prec
 
 
@@ -156,23 +168,24 @@ def _difference(a: _IntSeries, b: _IntSeries) -> _IntSeries:
 
 
 def _expand(top: Sequence[_IntSeries], cols: Tuple[int, ...],
-            below: Dict[tuple, _IntSeries], rest: Tuple[int, ...]) -> _IntSeries:
+            below: Dict[Tuple[int, ...], _IntSeries]) -> _IntSeries:
     """One minor by Laplace expansion along its first row.
 
-    top is that row of the matrix, rest the remaining rows; below holds the
-    minors one size smaller.  low is a leading exponent, or the precision
-    of a series without terms.  Terms at or past the precision are dropped
-    once, at the end: the sum's precision is at most that of every
-    product, so this drops what dropping after each step would.
+    top is that row of the matrix; below holds the minors of the remaining
+    rows one size smaller, by columns.  low is a leading exponent, or the
+    precision of a series without terms.  Terms at or past the precision
+    are dropped once, at the end: the sum's precision is at most that of
+    every product, so this drops what dropping after each step would.
     """
     acc: Dict[int, int] = {}
     prec: _IntPrecision = INF
     for k, col in enumerate(cols):
         ta, pa = top[col]
-        tb, pb = below[rest, cols[:k] + cols[k + 1:]]
-        low_a = min(ta) if ta else pa
-        low_b = min(tb) if tb else pb
-        prec = min(prec, pb + low_a, pa + low_b)
+        tb, pb = below[cols[:k] + cols[k + 1:]]
+        if pa is not INF or pb is not INF:  # else the product is exact
+            low_a = min(ta) if ta else pa
+            low_b = min(tb) if tb else pb
+            prec = min(prec, pb + low_a, pa + low_b)
         sign = -1 if k % 2 else 1
         for ea, ca in ta.items():
             ca *= sign
@@ -182,43 +195,69 @@ def _expand(top: Sequence[_IntSeries], cols: Tuple[int, ...],
     return _canonical(acc, prec)
 
 
-def _minor_valuations(matrix: Sequence[Sequence[_IntSeries]],
-                      d: int) -> List[ExtRational]:
-    # the differences nu_1..nu_r of the least minor valuations (see the
-    # module docstring) of integer series with exponents scaled by d; the
-    # minors of each size are kept for the next
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    r = min(nrows, ncols)
-    out: List[ExtRational] = []
-    prev = 0
-    minors = {((i,), (j,)): matrix[i][j]
-              for i in range(nrows) for j in range(ncols)}
-    for size in range(1, r + 1):
-        if size > 1:
-            minors = {(rows, cols): _expand(matrix[rows[0]], cols, minors,
-                                            rows[1:])
-                      for rows in itertools.combinations(range(nrows), size)
-                      for cols in itertools.combinations(range(ncols), size)}
-        best = INF
-        # a minor with no known term may hide its leading term anywhere
-        # from its precision on
-        pending_floor = INF
-        for terms, prec in minors.values():
-            if terms:
-                best = min(best, min(terms))
+class _MinorTable:
+    """The minors of the row sets drawn from one family of rows.
+
+    rows maps a row key (a vertex, for one base vertex) to its integer
+    series, ncols entries each.  A row set, a tuple of keys, gets its
+    minors {columns: series}, expanded from those of its tail, and over
+    all of them the least leading exponent and the least precision of a
+    minor with no known term, once and on first use.  A row set of size
+    largest is no tail, so only its aggregates are kept.  Filling the
+    table never raises: only valuations judges what it holds.
+    """
+
+    def __init__(self, rows: Dict[object, Sequence[_IntSeries]], ncols: int,
+                 largest: int):
+        self.rows = rows
+        self.ncols = ncols
+        self.largest = largest
+        self._sets: Dict[tuple, Tuple[Optional[dict], _IntPrecision,
+                                      _IntPrecision]] = {}
+
+    def _row_set(self, keys: tuple):
+        entry = self._sets.get(keys)
+        if entry is None:
+            top = self.rows[keys[0]]
+            if len(keys) == 1:
+                minors = {(j,): top[j] for j in range(self.ncols)}
             else:
-                pending_floor = min(pending_floor, prec)
-        if pending_floor is not INF and best >= pending_floor:
-            raise IndeterminateAtPrecision(
-                f"a size-{size} minor is undetermined below its truncation "
-                f"and could dominate")
-        if best is INF:
-            out.extend([INF] * (r - size + 1))
-            return out
-        out.append(Fraction(best - prev, d))
-        prev = best
-    return out
+                below = self._row_set(keys[1:])[0]
+                minors = {cols: _expand(top, cols, below)
+                          for cols in itertools.combinations(
+                              range(self.ncols), len(keys))}
+            lows = [min(terms) for terms, _ in minors.values() if terms]
+            floors = [prec for terms, prec in minors.values()
+                      if not terms and prec is not INF]
+            entry = self._sets[keys] = (
+                minors if len(keys) < self.largest else None,
+                min(lows, default=INF), min(floors, default=INF))
+        return entry
+
+    def valuations(self, keys: tuple, d: int) -> List[ExtRational]:
+        """nu_1..nu_r of the matrix with these rows (see the module
+        docstring), with exponents scaled by d; r = min(rows, columns)."""
+        r = min(len(keys), self.ncols)
+        out: List[ExtRational] = []
+        prev = 0
+        for size in range(1, r + 1):
+            best = pending = INF
+            for subset in itertools.combinations(keys, size):
+                _, low, floor = self._row_set(subset)
+                best = min(best, low)
+                pending = min(pending, floor)
+            # a minor with no known term may hide its leading term
+            # anywhere from its precision on
+            if pending is not INF and best >= pending:
+                raise IndeterminateAtPrecision(
+                    f"a size-{size} minor is undetermined below its "
+                    f"truncation and could dominate")
+            if best is INF:
+                out.extend([INF] * (r - size + 1))
+                return out
+            out.append(Fraction(best - prev, d))
+            prev = best
+        return out
 
 
 def simplex_rates(g: GeometricComplex,
@@ -227,25 +266,35 @@ def simplex_rates(g: GeometricComplex,
 
     Rows are the coordinate differences to the first vertex.  The vertices
     the simplices use are converted to integer series once, with one D and
-    one L for all of them (see the module docstring), and the rows
-    are formed in integers.  Simplices are rated in the order given and
-    the first failure is raised: IndeterminateAtPrecision, or
-    DegenerateSimplex for affinely dependent vertices.
+    one L for all of them, and the rows are formed in integers.  Each row
+    (base, vertex) is formed once per call and each minor (base, row
+    vertices, columns) expanded once, in a table keyed by base vertex (see
+    the module docstring).  Simplices are rated in the order given and the
+    first failure is raised: IndeterminateAtPrecision, or DegenerateSimplex
+    for affinely dependent vertices.
     """
     simplices = [tuple(s) for s in simplices]
     used = sorted({vid for s in simplices for vid in s})
     d, scale = _scales(x for vid in used for x in g.vertices[vid])
     points = {vid: [_integer_series(x, d, scale) for x in g.vertices[vid]]
               for vid in used}
+    n = g.ambient_dim
+    largest = max(map(len, simplices), default=1) - 1
+    tables: Dict[int, _MinorTable] = {}
     rates = []
     for simplex in simplices:
-        base = points[simplex[0]]
-        rows = [[_difference(points[vid][k], base[k])
-                 for k in range(g.ambient_dim)] for vid in simplex[1:]]
-        if len(rows) > g.ambient_dim:
+        table = tables.get(simplex[0])
+        if table is None:
+            table = tables[simplex[0]] = _MinorTable({}, n, largest)
+        base, rows = points[simplex[0]], table.rows
+        for vid in simplex[1:]:
+            if vid not in rows:
+                rows[vid] = [_difference(points[vid][k], base[k])
+                             for k in range(n)]
+        if len(simplex) - 1 > n:
             raise DegenerateSimplex(
                 f"{simplex}: dimension exceeds the ambient space")
-        rate = _minor_valuations(rows, d)[-1]
+        rate = table.valuations(simplex[1:], d)[-1]
         if rate is INF:
             raise DegenerateSimplex(
                 f"{simplex}: vertices are affinely dependent")

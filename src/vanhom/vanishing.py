@@ -7,7 +7,9 @@ independent computations are provided:
 * the engine (:func:`vanishing_betti`, :func:`sweep`): the rank of the
   map induced on ordinary homology by including level j of the thinness
   filtration into level j+1, counted off the pivots of one reduction per
-  boundary matrix with its cells ordered by rate;
+  boundary matrix with its cells ordered by rate; the matrices are
+  reduced top-down, and each skips the columns of the pivot rows found
+  one degree up (clearing), which would add no pivot;
 
 * the chain route (:func:`vanishing_betti_oracle`): work inside the chain
   subspaces spanned by thin cells, closed up by one round of boundaries,
@@ -77,17 +79,27 @@ def _euler_from_dims(dims: Dict[int, int]) -> int:
 def _graded(c: CellComplex, a: RateAnnotation, level) -> Graded:
     """The cells of each dimension by level, under the face law.
 
-    level maps a rate to an integer, in the order of the rates; vertices
-    get -1, below every cut.  After the rates, the first cell by id with a
-    face that is not a cell one dimension down raises NotFaceClosed: every
-    engine route grades first, so this is the law's one check.
+    level maps a rate to an integer, in the order of the rates, and is
+    called once per distinct rate; vertices get -1, below every cut.  The
+    first cell by id without a rate raises MissingRate.  After the rates,
+    the first cell by id with a face that is not a cell one dimension down
+    raises NotFaceClosed: every engine route grades first, so this is the
+    law's one check.
     """
+    cells = c.cells()
     graded: Graded = [[] for _ in range(max(c.dim, 0) + 1)]
-    for cell in c.cells():
-        graded[cell.dim].append(
-            (level(rate_of(c, a, cell.id)) if cell.dim else -1, cell.id))
-    ids = [{cid for _, cid in cells} for cells in graded]
-    for cell in c.cells():
+    levels: dict = {}
+    for cell in cells:
+        if cell.dim:
+            rate = rate_of(c, a, cell.id)
+            lv = levels.get(rate)
+            if lv is None:
+                lv = levels[rate] = level(rate)
+            graded[cell.dim].append((lv, cell.id))
+        else:
+            graded[0].append((-1, cell.id))
+    ids = [{cid for _, cid in dim_cells} for dim_cells in graded]
+    for cell in cells:
         if cell.dim and not ids[cell.dim - 1].issuperset(
                 face for _, face in cell.boundary):
             raise NotFaceClosed(f"cell {cell.id} has a face that is not a "
@@ -100,11 +112,12 @@ def vanishing_betti(c: CellComplex, a: RateAnnotation,
     """Vanishing homology dimensions at one cut.
 
     Thin cells sit at level 1 and thick ones at 0; each boundary matrix is
-    reduced once, on its thin columns only.
+    reduced once, top-down with clearing, on its thin columns only.
     """
     graded = _graded(c, a, lambda rate: int(v.contains_rate(rate)))
-    dims = _image_dims(graded, {j: _pivot_levels(c, graded, j, 1)
-                                for j in range(1, len(graded))}, 1)
+    clear: set = set()
+    dims = _image_dims(graded, {j: _pivot_levels(c, graded, j, 1, clear)
+                                for j in reversed(range(1, len(graded)))}, 1)
     return VanishingBettiTable(v, dims, _euler_from_dims(dims))
 
 
@@ -220,9 +233,9 @@ def sweep(c: CellComplex, a: RateAnnotation,
     """Evaluate the vanishing dimensions across all velocity thresholds.
 
     The dimensions can only change where the threshold crosses a rate that
-    is present.  Each boundary matrix is reduced once, on all its columns,
-    and each interval's value is a count of pivots at its right end; the
-    last interval is read at a cut above every finite rate.
+    is present.  Each boundary matrix is reduced once, top-down with
+    clearing, and each interval's value is a count of pivots at its right
+    end; the last interval is read at a cut above every finite rate.
     """
     bps = critical_rates(c, a)
     # a cell's level is the position of its rate among the breakpoints, so
@@ -231,7 +244,9 @@ def sweep(c: CellComplex, a: RateAnnotation,
     index = {rate: i for i, rate in enumerate(bps)}
     index[INF] = len(bps)
     graded = _graded(c, a, index.__getitem__)
-    pivots = {j: _pivot_levels(c, graded, j) for j in range(1, len(graded))}
+    clear: set = set()
+    pivots = {j: _pivot_levels(c, graded, j, None, clear)
+              for j in reversed(range(1, len(graded)))}
     values = [_image_dims(graded, pivots, cut)
               for cut in range(len(bps) + 1)]
     if degrees is None:

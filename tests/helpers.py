@@ -18,7 +18,7 @@ from vanhom.homology import (Chain, IntColumn, _add_scaled, _boundary_columns,
                              _combine, _Eliminator, _integer_reduce,
                              kernel_basis)
 from vanhom.puiseux import _EXP, SeriesParseError, _parse_exponent
-from vanhom.thinness import _integer_series, _minor_valuations, _scales
+from vanhom.thinness import _integer_series, _MinorTable, _scales
 from vanhom.vanishing import _euler_from_dims, _Pair
 
 RATE_CHOICES = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
@@ -402,7 +402,8 @@ def invariant_factor_valuations(
     entries are infinite.  A minor whose leading term is hidden by series
     truncation raises IndeterminateAtPrecision.
 
-    The minors are Laplace-expanded along the first row over the integers:
+    The minors are Laplace-expanded along the first row over the integers,
+    in the minor table simplex_rates keeps:
     with T = S^D every exponent and precision is an integer (valuations
     come out multiplied by D and are divided back), and rows multiplied by
     the coefficients' common denominator L scale a size-i minor by L^i,
@@ -411,8 +412,10 @@ def invariant_factor_valuations(
     that raise, are those of cofactor expansion in PuiseuxSeries.
     """
     d, scale = _scales(x for row in matrix for x in row)
-    return _minor_valuations(
-        [[_integer_series(x, d, scale) for x in row] for row in matrix], d)
+    rows = {i: [_integer_series(x, d, scale) for x in row]
+            for i, row in enumerate(matrix)}
+    return _MinorTable(rows, len(matrix[0]) if matrix else 0,
+                       len(rows)).valuations(tuple(rows), d)
 
 
 def restrict_chain(chain: Chain, keep: CellSet) -> Chain:

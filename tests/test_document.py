@@ -273,3 +273,26 @@ class TestRationalText:
     def test_digit_separators_are_rejected(self, text):
         with pytest.raises(ValueError):
             _fraction(text)
+
+
+class TestLabels:
+    """Writing accepts exactly the labels that loading accepts."""
+
+    @pytest.mark.parametrize("label", ["a\tb", "a\rb", "a\nb", 5, ["a"]])
+    def test_writing_refuses_a_label_that_loading_refuses(self, label):
+        c = CellComplex([Cell(0, 0), Cell(1, 0, (), label)])
+        problem = (f"cell 1: label must be a string without tab or line "
+                   f"break, got {label!r}")
+        with pytest.raises(ValueError) as caught:
+            document_dict(c, {})
+        assert str(caught.value) == problem
+        data = document_dict(CellComplex([Cell(0, 0), Cell(1, 0)]), {})
+        data["cells"][1]["label"] = label
+        assert document_problems(data) == [f"malformed cells: {problem}"]
+
+    def test_labels_round_trip(self):
+        c, rates, circle = build_pinched_spheres(2, 3)
+        loaded = load_document(document_dict(c, rates)).complex
+        assert ([cell.label for cell in loaded.cells()]
+                == [cell.label for cell in c.cells()])
+        assert any(cell.label for cell in c.cells())

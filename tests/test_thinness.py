@@ -1,5 +1,6 @@
 """Rates, thin cells, filtrations, and rates derived from coordinates."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -254,6 +255,99 @@ class TestIntegerKernel:
             load_document(doc(3, 4))
         with pytest.raises(IndeterminateAtPrecision, match="size-1 minor"):
             load_document(doc(4, 3))
+
+
+class TestMinorTable:
+    """simplex_rates keeps one minor table per call; each simplex alone
+    must come out the same."""
+
+    CAPS = (None, F(1, 2), F(1), F(2), F(4))
+
+    @staticmethod
+    def geometry(rng):
+        """Random points in 1- to 4-space and simplices of dimension 1-3.
+
+        Coordinates come from TestIntegerKernel.entry, so exact zeros and
+        truncated entries appear.  Some points lie on the line through two
+        earlier ones, so that minors cancel exactly or up to a truncation.
+        Each top simplex has a random vertex order, and often comes with
+        its faces through its first vertex, in any order.
+        """
+        kernel = TestIntegerKernel()
+        ambient, nv = rng.randint(1, 4), rng.randint(3, 6)
+        points = {}
+        for vid in range(nv):
+            if vid >= 2 and rng.random() < 0.25:
+                a, b = (points[k] for k in rng.sample(range(vid), 2))
+                factor = series([(rng.choice(kernel.EXPONENTS),
+                                  rng.choice(kernel.COEFFICIENTS))])
+                points[vid] = tuple(x + factor * (y - x)
+                                    for x, y in zip(a, b))
+            else:
+                points[vid] = tuple(kernel.entry(rng)
+                                    for _ in range(ambient))
+        simplices = []
+        for _ in range(rng.randint(1, 4)):
+            top = tuple(rng.sample(range(nv), rng.randint(2, min(4, nv))))
+            if rng.random() < 0.6:
+                tail = top[1:]
+                simplices += [(top[0], *rest) for size in range(1, len(tail))
+                              for rest in itertools.combinations(tail, size)]
+            simplices.append(top)
+        if rng.random() < 0.5:
+            rng.shuffle(simplices)
+        return ambient, points, simplices
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return call()
+        except (DegenerateSimplex, IndeterminateAtPrecision) as exc:
+            return type(exc).__name__, str(exc)
+
+    def test_batch_matches_fresh_single_rates(self):
+        rng = random.Random(2020)
+        kinds = Counter()
+        for _ in range(300):
+            ambient, points, simplices = self.geometry(rng)
+            for cap in self.CAPS:
+                g = GeometricComplex(ambient, {
+                    vid: tuple(x if cap is None else x.truncate(cap)
+                               for x in point)
+                    for vid, point in points.items()}, simplices)
+                singles = [self.outcome(lambda s=s: simplex_rate(g, s))
+                           for s in simplices]
+                errors = [o for o in singles if isinstance(o, tuple)]
+                # the first failure in the given order, else every rate
+                expected = errors[0] if errors else singles
+                assert self.outcome(
+                    lambda: simplex_rates(g, simplices)) == expected
+                kinds[errors[0][0] if errors else "rates"] += 1
+                kinds["late failure"] += bool(
+                    errors and not isinstance(singles[0], tuple))
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_slab_expands_each_minor_once(self, monkeypatch):
+        g = helpers.embedded_slab()
+        expanded = []
+        expand = thinness._expand
+
+        def spy(top, cols, below):
+            # top is the difference row of (base, first row vertex) and
+            # below the minors of (base, the other rows); the table holds
+            # both for the whole call, so their ids name the row set
+            expanded.append((id(top), id(below), cols))
+            return expand(top, cols, below)
+
+        monkeypatch.setattr(thinness, "_expand", spy)
+        simplex_rates(g, g.simplices)
+        needed = [(s[0], rows, cols) for s in g.simplices
+                  for size in range(2, len(s))
+                  for rows in itertools.combinations(s[1:], size)
+                  for cols in itertools.combinations(range(3), size)]
+        assert len(expanded) == len(set(expanded)) == len(set(needed))
+        # the tetrahedra read their triangles' minors
+        assert len(set(needed)) < len(needed)
 
 
 class TestSimplexRate:

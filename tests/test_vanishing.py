@@ -417,6 +417,55 @@ class TestLeadingBlocks:
         assert assert_leading_blocks(c, rates) == 2 * 7 * 7
 
 
+def assert_clearing_keeps_pivots(c, rates):
+    """Clearing against the plain reduction, degree by degree.
+
+    Grades c by rate index, as sweep does.  At no cut and at every level,
+    the (column level, row level) pivots of each d_j reduced top-down with
+    clearing must equal those of d_j reduced on its own.  Returns the
+    number of columns clearing skipped.
+    """
+    bps = critical_rates(c, rates)
+    index = {rate: i for i, rate in enumerate(bps)}
+    index[INF] = len(bps)
+    graded = vanishing._graded(c, rates, index.__getitem__)
+    skipped = 0
+    for cut in [None, *range(len(bps) + 2)]:
+        clear = set()
+        for j in reversed(range(1, len(graded))):
+            skipped += sum(1 for level, cid in graded[j]
+                           if cid in clear and (cut is None or level >= cut))
+            assert (_pivot_levels(c, graded, j, cut, clear)
+                    == _pivot_levels(c, graded, j, cut)), (j, cut)
+    return skipped
+
+
+class TestClearing:
+    """Top-down reduction skipping the pivot rows above keeps every pivot."""
+
+    def test_random_complexes(self):
+        rng = random.Random(6161)
+        rates = (F(-1), F(0), F(1, 2), F(2), INF)
+        skipped = sum(assert_clearing_keeps_pivots(
+            *helpers.random_complex(rng, rates=rates)) for _ in range(100))
+        assert skipped > 100
+
+    def test_every_rate_assignment_of_the_non_unit_fixtures(self):
+        for build in (helpers.projective_plane, helpers.klein_bottle):
+            c = build()
+            ids = [cell.id for cell in c.cells() if cell.dim > 0]
+            choices = itertools.product((F(0), F(1), F(2)), repeat=len(ids))
+            skipped = sum(assert_clearing_keeps_pivots(c, dict(zip(ids, r)))
+                          for r in choices)
+            assert skipped > 0
+
+    def test_random_rate_tori(self):
+        rng = random.Random(6262)
+        for n in (4, 6, 8):
+            assert assert_clearing_keeps_pivots(
+                *helpers.random_rate_torus(rng, n))
+
+
 class TestFiltrationReference:
     """The engine against image_betti on the thinness filtration levels."""
 
