@@ -2,20 +2,21 @@
 
 Nothing here is a numerical estimate; there are two exact routes.
 
-* The engine route works on integer boundary matrices.  Boundary
-  coefficients are integers, so :func:`_integer_reduce` eliminates sparse
-  integer columns fraction-free (gcd-normalised, after Bareiss 1968): it
-  gives their rank over the rationals, the input columns that are
-  independent with the row key of each one's pivot and, on request,
-  primitive integer kernel combinations.  The rank of the map induced on
-  homology by including one level of a filtration into the next is a
-  cell count combined with such ranks, and at every cut those ranks are
-  counts of the pivots of one level-ordered reduction per boundary
-  matrix (:func:`_pivot_levels`, :func:`_image_dims`).  Those reductions
-  run top-down with clearing: d_j skips the columns of the cells that are
-  pivot rows of d_(j+1), which would reduce to zero.  The pair theory
-  in :mod:`vanhom.vanishing` is the short exact sequence
-  0 -> A -> P -> Q -> 0 of chain complexes; one
+* The engine route works on integer boundary matrices, whose columns
+  :func:`_boundary_columns` builds with each face at the row its caller
+  keys it to.  Boundary coefficients are integers, so
+  :func:`_integer_reduce` eliminates sparse integer columns fraction-free
+  (gcd-normalised, after Bareiss 1968): it gives their rank over the
+  rationals, the input columns that are independent with the row key of
+  each one's pivot and, on request, primitive integer kernel
+  combinations.  The rank of the map induced on homology by including one
+  level of a filtration into the next is a cell count combined with such
+  ranks, and at every cut those ranks are counts of the pivots of one
+  level-ordered reduction per boundary matrix (:func:`_pivot_levels`,
+  :func:`_image_dims`).  Those reductions run top-down with clearing: d_j
+  skips the columns of the cells that are pivot rows of d_(j+1), which
+  would reduce to zero.  The pair theory in :mod:`vanhom.vanishing` is
+  the short exact sequence 0 -> A -> P -> Q -> 0 of chain complexes; one
   such elimination per complex and degree, top-down, of the boundaries of
   a complement of the boundaries found so far gives the boundaries one
   degree down (independent images) and one cycle per vanishing class
@@ -216,18 +217,20 @@ def unit_chains(ids: Iterable[int]) -> List[Chain]:
 # -- integer elimination -------------------------------------------------
 
 
-def _boundary_columns(c: CellComplex, ids: Iterable[int]) -> List[IntColumn]:
-    """Integer boundary columns of the given cells.
+def _boundary_columns(c: CellComplex, ids: Iterable[int],
+                      key: Dict[int, int]) -> List[IntColumn]:
+    """Integer boundary columns of the given cells, face f at row key[f].
 
     Repeated faces are summed, so a CW boundary such as a + b - a + b
-    gives {b: 2}; faces whose coefficients cancel are dropped.
+    gives {key[b]: 2}; faces whose coefficients cancel are dropped.
     """
     out = []
     for cid in ids:
         col: IntColumn = {}
         for k, face in c.cell(cid).boundary:
-            col[face] = col.get(face, 0) + k
-        out.append({face: k for face, k in col.items() if k})
+            row = key[face]
+            col[row] = col.get(row, 0) + k
+        out.append({row: k for row, k in col.items() if k})
     return out
 
 
@@ -337,8 +340,7 @@ def _pivot_levels(c: CellComplex, graded: Graded, j: int,
     cols = [(level, cid) for level, cid in reversed(graded[j])
             if (cut is None or level >= cut) and cid not in skip]
     pivots, _ = _integer_reduce(
-        {keys[face]: k for face, k in col.items()}
-        for col in _boundary_columns(c, [cid for _, cid in cols]))
+        _boundary_columns(c, [cid for _, cid in cols], keys))
     if clear is not None:
         clear.clear()
         clear.update(graded[j - 1][key][1] for key in pivots.values())

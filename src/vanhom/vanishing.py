@@ -80,24 +80,17 @@ def _graded(c: CellComplex, a: RateAnnotation, level) -> Graded:
     """The cells of each dimension by level, under the face law.
 
     level maps a rate to an integer, in the order of the rates, and is
-    called once per distinct rate; vertices get -1, below every cut.  The
-    first cell by id without a rate raises MissingRate.  After the rates,
-    the first cell by id with a face that is not a cell one dimension down
-    raises NotFaceClosed: every engine route grades first, so this is the
-    law's one check.
+    applied to each cell's rate (a bool is a 0/1 level); vertices get -1,
+    below every cut.  The first cell by id without a rate raises
+    MissingRate.  After the rates, the first cell by id with a face that
+    is not a cell one dimension down raises NotFaceClosed: every engine
+    route grades first, so this is the law's one check.
     """
     cells = c.cells()
     graded: Graded = [[] for _ in range(max(c.dim, 0) + 1)]
-    levels: dict = {}
     for cell in cells:
-        if cell.dim:
-            rate = rate_of(c, a, cell.id)
-            lv = levels.get(rate)
-            if lv is None:
-                lv = levels[rate] = level(rate)
-            graded[cell.dim].append((lv, cell.id))
-        else:
-            graded[0].append((-1, cell.id))
+        graded[cell.dim].append(
+            (level(rate_of(c, a, cell.id)) if cell.dim else -1, cell.id))
     ids = [{cid for _, cid in dim_cells} for dim_cells in graded]
     for cell in cells:
         if cell.dim and not ids[cell.dim - 1].issuperset(
@@ -114,7 +107,7 @@ def vanishing_betti(c: CellComplex, a: RateAnnotation,
     Thin cells sit at level 1 and thick ones at 0; each boundary matrix is
     reduced once, top-down with clearing, on its thin columns only.
     """
-    graded = _graded(c, a, lambda rate: int(v.contains_rate(rate)))
+    graded = _graded(c, a, v.contains_rate)
     clear: set = set()
     dims = _image_dims(graded, {j: _pivot_levels(c, graded, j, 1, clear)
                                 for j in reversed(range(1, len(graded)))}, 1)
@@ -241,8 +234,7 @@ def sweep(c: CellComplex, a: RateAnnotation,
     # a cell's level is the position of its rate among the breakpoints, so
     # the cut at breakpoint i is level i and the cut past them all, where
     # only the INF cells are thin, is level len(bps)
-    index = {rate: i for i, rate in enumerate(bps)}
-    index[INF] = len(bps)
+    index = {rate: i for i, rate in enumerate(bps + [INF])}
     graded = _graded(c, a, index.__getitem__)
     clear: set = set()
     pivots = {j: _pivot_levels(c, graded, j, None, clear)
@@ -343,8 +335,10 @@ class _Pair:
 
     Chains are keyed with the cells outside S first, so pi keeps the keys
     below ``split``.  P_j is an echelon basis (each chain led by its own
-    lowest key), seeded with the thin j-cells; its chains led by a key in
-    S span A_j, and the projections of the others span Q_j.
+    lowest key): the thin j-cells' unit chains, and the rank(pi_K o
+    d_(j+1)|T_(j+1)) chains (the engine's projected term) that the build
+    reduces from the thin (j+1)-cells' boundaries on the thick j-cells K.
+    Its chains led by a key in S span A_j, the others project onto Q_j.
 
     Cycles are boundaries plus one representative per class, top-down:
     the chains of C_j led by a key that B_j does not lead span a
@@ -362,23 +356,24 @@ class _Pair:
         sub = frozenset(sub)
         if not c.is_face_closed(sub):
             raise NotFaceClosed("subcomplex is not closed under faces")
-        graded = _graded(c, a, lambda rate: int(v.contains_rate(rate)))
+        graded = _graded(c, a, v.contains_rate)
         self.velocity = v
         self.cells = sorted(c.cell_ids() - sub) + sorted(sub)
         self.split = len(self.cells) - len(sub)
         key = {cid: k for k, cid in enumerate(self.cells)}
-        faces = [{key[face]: k for face, k in col.items()}
-                 for col in _boundary_columns(c, self.cells)]
+        faces = _boundary_columns(c, self.cells, key)
         d = max(c.dim, 0)
         self.degrees = range(d + 1)
         thin = [[key[cid] for level, cid in cells if level == 1]
                 for cells in graded] + [[]]
+        thick = set(range(len(self.cells))).difference(*thin)
         # each space C_j as an echelon basis {lowest key: chain}
         chains = self.chains = {"absolute": {}, "attached": {},
                                 "relative": {}}
         for j in self.degrees:
             prime = chains["absolute"][j] = {k: {k: 1} for k in thin[j]}
-            _integer_reduce([faces[k] for k in thin[j + 1]], echelon=prime)
+            _integer_reduce([{k: x for k, x in faces[t].items() if k in thick}
+                             for t in thin[j + 1]], echelon=prime)
             chains["attached"][j] = {low: x for low, x in prime.items()
                                      if low >= self.split}
             chains["relative"][j] = {low: self.project(x)

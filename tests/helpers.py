@@ -460,9 +460,10 @@ def betti(c: CellComplex, s: CellSet, j: int) -> int:
     """
     s = frozenset(s)
     _require_face_closed(c, s, "cell set")
-    cells = _ids_of_dim(c, s, j)
-    return (len(cells) - _integer_rank(_boundary_columns(c, cells))
-            - _integer_rank(_boundary_columns(c, _ids_of_dim(c, s, j + 1))))
+    cells, identity = _ids_of_dim(c, s, j), {cid: cid for cid in s}
+    return (len(cells) - _integer_rank(_boundary_columns(c, cells, identity))
+            - _integer_rank(_boundary_columns(c, _ids_of_dim(c, s, j + 1),
+                                              identity)))
 
 
 def image_betti(c: CellComplex, small: CellSet, big: CellSet, j: int) -> int:
@@ -485,10 +486,11 @@ def image_betti(c: CellComplex, small: CellSet, big: CellSet, j: int) -> int:
     if not cells:
         return 0  # no j-cells, no degree-j homology to map
     outside = frozenset(_ids_of_dim(c, big, j)).difference(small)
-    above = _boundary_columns(c, _ids_of_dim(c, big, j + 1))
+    identity = {cid: cid for cid in big}
+    above = _boundary_columns(c, _ids_of_dim(c, big, j + 1), identity)
     projected = [{face: k for face, k in col.items() if face in outside}
                  for col in above]
-    return (len(cells) - _integer_rank(_boundary_columns(c, cells))
+    return (len(cells) - _integer_rank(_boundary_columns(c, cells, identity))
             - _integer_rank(above) + _integer_rank(projected))
 
 

@@ -27,10 +27,15 @@ def ids_of_dim(c, j):
     return sorted(cell.id for cell in c.cells_of_dim(j))
 
 
+def columns(c, ids):
+    # boundary columns keyed by cell id
+    return _boundary_columns(c, ids, {cid: cid for cid in c.cell_ids()})
+
+
 class TestBoundaryMatrix:
     def test_circle_columns(self):
         c, _ = build_circle(5, 0)
-        cols = _boundary_columns(c, ids_of_dim(c, 1))
+        cols = columns(c, ids_of_dim(c, 1))
         assert len(cols) == 5
         assert {face for col in cols for face in col} == set(ids_of_dim(c, 0))
         for col in cols:
@@ -39,16 +44,25 @@ class TestBoundaryMatrix:
     def test_entries_match_cell_data(self):
         c, _ = build_torus(0, 2, 3)
         ids = ids_of_dim(c, 2)
-        for cid, col in zip(ids, _boundary_columns(c, ids)):
+        for cid, col in zip(ids, columns(c, ids)):
             expected = {}
             for k, face in c.cell(cid).boundary:
                 expected[face] = expected.get(face, 0) + k
             expected = {f: v for f, v in expected.items() if v}
             assert col == expected
 
+    def test_rows_at_the_callers_keys(self):
+        # each face lands at its key's row; RP^2's 2-cell keeps its 2e
+        for c in (build_torus(0, 2, 3)[0], helpers.projective_plane()):
+            ids = sorted(c.cell_ids())
+            key = {cid: 3 * k + 1 for k, cid in enumerate(reversed(ids))}
+            for cid, col in zip(ids, _boundary_columns(c, ids, key)):
+                assert col == {key[face]: k
+                               for face, k in columns(c, [cid])[0].items()}
+
     def test_empty_degree(self):
         c, _ = build_circle(3, 0)
-        cols = _boundary_columns(c, ids_of_dim(c, 2))
+        cols = columns(c, ids_of_dim(c, 2))
         assert cols == []
         assert _integer_rank(cols) == 0
 
@@ -66,7 +80,7 @@ class TestRank:
 
     def test_circle_boundary_rank(self):
         c, _ = build_circle(7, 0)
-        assert _integer_rank(_boundary_columns(c, ids_of_dim(c, 1))) == 6
+        assert _integer_rank(columns(c, ids_of_dim(c, 1))) == 6
 
     def test_rank_equals_transpose_rank(self):
         rng = random.Random(12)

@@ -13,8 +13,10 @@ from vanhom import (CellComplex, InvalidExcision, MissingRate, NotFaceClosed,
                     build_torus, chain_boundary, excision_check, les_check,
                     rank_of, relative_vanishing, thin_chain_complex,
                     vanishing_betti)
-from vanhom import vanishing
-from vanhom.vanishing import _class_rank, _Pair
+from vanhom import document_dict, dumps_document, is_thin, vanishing
+from vanhom.cli import main
+from vanhom.homology import _integer_reduce, _pivot_levels
+from vanhom.vanishing import _class_rank, _graded, _Pair
 
 F = Fraction
 
@@ -334,6 +336,16 @@ class TestReferenceEquivalence:
         assert_matches_reference(c, rates, meridian, v)
         assert_matches_reference(c, rates, band, v, cut)
 
+    @pytest.mark.parametrize("n, q", [(8, 0), (8, 2), (10, 1)])
+    def test_random_rate_torus(self, n, q):
+        # 384 and 600 cells; a subcomplex seeded on a fifth of the cells
+        # closes up to about half of them
+        rng = random.Random(f"torus {n} {q}")
+        c, rates = helpers.random_rate_torus(rng, n)
+        sub = helpers.random_subcomplex(rng, c, bias=0.2)
+        assert 0 < len(sub) < len(c.cell_ids())
+        assert_matches_reference(c, rates, sub, Velocity(F(q)))
+
 
 class TestQuotientComplex:
     """The relative groups are the vanishing groups of the quotient X∖S:
@@ -556,3 +568,96 @@ class TestCycleBases:
                 for sub in subs:
                     for v in velocities:
                         self.assert_cycle_bases(c, rates, sub, v)
+
+
+class TestChainSpaces:
+    """P_j is the thin j-cells' unit chains plus an echelon basis of the
+    thin (j+1)-cells' boundaries on the thick j-cells: as many chains as
+    the engine's projected term rank(pi_K o d_(j+1)|T_(j+1)) counts."""
+
+    @staticmethod
+    def assert_chain_spaces(c, rates, sub, v):
+        pair = _Pair(c, rates, sub, v)
+        thin = {k for k, cid in enumerate(pair.cells)
+                if c.cell(cid).dim and is_thin(c, rates, cid, v)}
+        graded = _graded(c, rates, v.contains_rate)
+        for j in pair.degrees:
+            units = {k for k in thin if c.cell(pair.cells[k]).dim == j}
+            echelon = pair.chains["absolute"][j]
+            assert set(echelon) >= units, (j, v)
+            for low, x in echelon.items():
+                if low in units:
+                    assert x == {low: 1}, (j, v)
+                else:
+                    assert not set(x) & thin, (j, v, x)
+            # every column of d_(j+1) reduced at the cut is thin; the
+            # pivots on thick rows, below the cut, count the projected term
+            pivots = (_pivot_levels(c, graded, j + 1, 1)
+                      if j + 1 < len(graded) else [])
+            projected = sum(row < 1 for _, row in pivots)
+            assert len(echelon) - len(units) == projected, (j, v)
+
+    def test_random_triples(self):
+        rng = random.Random(321)
+        for i in range(300):
+            c, rates = helpers.random_complex(rng)
+            sub = helpers.random_subcomplex(rng, c)
+            v = Velocity(F(rng.randint(-1, 3), rng.choice([1, 2])),
+                         strict=i % 2 == 0)
+            self.assert_chain_spaces(c, rates, sub, v)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_random_rate_tori(self, n):
+        rng = random.Random(f"chain spaces {n}")
+        for q in range(4):
+            c, rates = helpers.random_rate_torus(rng, n)
+            sub = helpers.random_subcomplex(rng, c, bias=0.2)
+            for strict in (False, True):
+                self.assert_chain_spaces(c, rates, sub,
+                                         Velocity(F(q), strict=strict))
+
+
+class TestClosureChecksCatchBookkeeping:
+    """The closure checks guard the echelon bookkeeping, not the input: a
+    pivot dropped from P_j as it is built leaves a thin (j+1)-cell whose
+    boundary is not in P_j, which the degree-(j+1) check must catch."""
+
+    @staticmethod
+    def drop_built_pivot(monkeypatch, j):
+        # the build reduces into P_0, P_1, ... in turn, before the first
+        # kernel reduction; drop the first pivot the one into P_j adds
+        calls = []
+
+        def dropping(columns, kernel=False, echelon=None):
+            pivots, kernels = _integer_reduce(columns, kernel=kernel,
+                                              echelon=echelon)
+            calls.append(kernel)
+            if not any(calls) and len(calls) == j + 1:
+                assert pivots, "the build added no pivot to drop"
+                del echelon[next(iter(pivots.values()))]
+            return pivots, kernels
+        monkeypatch.setattr(vanishing, "_integer_reduce", dropping)
+
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize("fixture", ["pinched", "torus"])
+    def test_dropped_pivot_trips_the_check(self, monkeypatch, capsys,
+                                           tmp_path, fixture, j):
+        if fixture == "pinched":
+            c, rates, sub = build_pinched_spheres(2, 6)
+        else:
+            c, rates, sub, _, _ = helpers.torus_pair(4)
+        failure = (f"degree-{j + 1} absolute chains are not closed under "
+                   f"the boundary at T^2")
+        path = tmp_path / "pair.json"
+        path.write_text(dumps_document(document_dict(c, rates, {"s": sub})),
+                        encoding="utf-8")
+        self.drop_built_pivot(monkeypatch, j)
+        with pytest.raises(AssertionError) as caught:
+            relative_vanishing(c, rates, sub, Velocity(F(2)))
+        assert str(caught.value) == failure
+        self.drop_built_pivot(monkeypatch, j)
+        code = main(["relative", str(path), "--velocity", "T^2",
+                     "--subcomplex", "s"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err == f"error: internal check failed: {failure}\n"
