@@ -24,16 +24,18 @@ Nothing here is a numerical estimate; there are two exact routes.
   map rank and check reduces its images and those cycles once, starting
   from the echelon basis of the boundaries that elimination left.
 
-* The oracle route works with chain subspaces: sparse chains with
-  Fraction entries, kept as echelon bases by :class:`Subspace`,
-  which makes dimensions, sums, intersections, kernels and preimages
-  cheap and deterministic.  Only the chain-subspace oracle is built on
-  it, independently of the engine route.
+* The oracle route works with chain subspaces of sparse chains with
+  Fraction entries, each held by :class:`Subspace` as an echelon basis:
+  rows keyed by their lowest key and scaled to lead with 1.  A rank is
+  the dimension of a span, and :func:`kernel_basis` reads vanishing
+  combinations off the span of the vectors extended by unit keys; sums,
+  intersections, kernels and preimages are spans of such chains.  Only
+  the chain-subspace oracle is built on it, independently of the engine
+  route.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 from math import gcd
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
@@ -72,101 +74,48 @@ def _add_scaled(target: Chain, coeff: Fraction, source: Chain) -> Chain:
     return out
 
 
-class _Eliminator:
-    """Incremental echelon form over sparse Fraction vectors.
-
-    Each row's lowest key is its pivot, with coefficient one, and rows are
-    kept ordered by pivot, so reducing a vector against them in that order
-    clears every pivot key; combination tracking ties every row back to the
-    input vectors, which yields kernels for free.
-    """
-
-    def __init__(self, track: bool = False):
-        self.rows: List[Tuple[int, Chain, Optional[Chain]]] = []
-        self.track = track
-        self.count = 0
-
-    def _reduce(self, vec: Chain, combo: Optional[Chain]):
-        for pivot, basis_vec, basis_combo in self.rows:
-            coeff = vec.get(pivot)
-            if coeff:
-                vec = _add_scaled(vec, -coeff, basis_vec)
-                if combo is not None:
-                    combo = _add_scaled(combo, -coeff, basis_combo)
-        return vec, combo
-
-    def add(self, vec: Chain) -> Optional[Chain]:
-        """Insert a vector; returns its input combination if dependent.
-
-        The returned dict maps input indices to coefficients of a vanishing
-        combination (with this vector's own index included), or None when
-        the vector was independent and the rank grew.
-        """
-        index = self.count
-        self.count += 1
-        combo = {index: Fraction(1)} if self.track else None
-        vec, combo = self._reduce(dict(vec), combo)
-        if not vec:
-            return combo if self.track else {}
-        pivot = min(vec)
-        scale = Fraction(1) / vec[pivot]
-        vec = {k: v * scale for k, v in vec.items()}
-        if combo is not None:
-            combo = {k: v * scale for k, v in combo.items()}
-        # pivots are distinct, so the tuples never compare their dicts
-        insort(self.rows, (pivot, vec, combo))
-        return None
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def basis(self) -> List[Chain]:
-        return [vec for _, vec, _ in self.rows]
-
-    def residual(self, vec: Chain) -> Chain:
-        reduced, _ = self._reduce(dict(vec), None)
-        return reduced
-
-
-def rank_of(vectors: Iterable[Chain]) -> int:
-    elim = _Eliminator()
-    for vec in vectors:
-        elim.add(vec)
-    return elim.rank
-
-
-def kernel_basis(vectors: Sequence[Chain]) -> List[Chain]:
-    """Basis of vanishing combinations of the given vectors.
-
-    Each result maps input index to coefficient; results are independent.
-    """
-    elim = _Eliminator(track=True)
-    out = []
-    for vec in vectors:
-        combo = elim.add(vec)
-        if combo is not None:
-            out.append(combo)
-    return out
-
-
 class Subspace:
-    """A subspace of a chain space, held as an echelon basis."""
+    """A subspace of a chain space, held as an echelon basis.
+
+    The rows are kept as {lowest key: row}, each row scaled so that its
+    lead coefficient is 1.  A vector is reduced by walking its keys from
+    the lowest up: where a row leads at the key, the row is subtracted,
+    and otherwise the key is set aside.  A row only adds keys above the one
+    it clears, so what is set aside is never touched again.
+    """
 
     def __init__(self, vectors: Iterable[Chain] = ()):
-        self._elim = _Eliminator()
+        self._rows: Dict[int, Chain] = {}
         for vec in vectors:
-            self._elim.add(vec)
+            vec = self._reduce(vec)
+            if vec:
+                lead = min(vec)
+                scale = Fraction(1) / vec[lead]
+                self._rows[lead] = {k: v * scale for k, v in vec.items()}
+
+    def _reduce(self, vec: Chain) -> Chain:
+        """What is left of vec, keys ascending and without zero entries,
+        once every key that leads a row is cleared."""
+        vec, left = {k: v for k, v in vec.items() if v}, {}
+        while vec:
+            low = min(vec)
+            row = self._rows.get(low)
+            if row is None:
+                left[low] = vec.pop(low)
+            else:
+                vec = _add_scaled(vec, -vec[low], row)
+        return left
 
     @property
     def dim(self) -> int:
-        return self._elim.rank
+        return len(self._rows)
 
     def basis(self) -> List[Chain]:
-        return self._elim.basis()
+        """The rows, by ascending lowest key."""
+        return [self._rows[lead] for lead in sorted(self._rows)]
 
     def contains(self, vec: Chain) -> bool:
-        return not self._elim.residual(vec)
+        return not self._reduce(vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis())
@@ -190,6 +139,29 @@ class Subspace:
         basis = self.basis()
         combos = kernel_basis([f(v) for v in basis] + target.basis())
         return Subspace(_combine(basis, combos))
+
+
+def rank_of(vectors: Iterable[Chain]) -> int:
+    return Subspace(vectors).dim
+
+
+def kernel_basis(vectors: Sequence[Chain]) -> List[Chain]:
+    """Basis of vanishing combinations of the given vectors.
+
+    Each result maps input index to coefficient.  Vector i of n is
+    extended by a unit at key top + n - 1 - i, above every key of the
+    vectors; the rows of the span that lead at top or above have no chain
+    part, so they are the combinations.  A vector that depends on earlier
+    ones leads its row at its own unit, the lowest in the row: each
+    combination holds its vector's index with coefficient 1 and earlier
+    indices only, so they are independent.
+    """
+    top = 1 + max((key for vec in vectors for key in vec), default=0)
+    unit = top + len(vectors) - 1  # the unit key of vector 0
+    space = Subspace({**vec, unit - i: Fraction(1)}
+                     for i, vec in enumerate(vectors))
+    return [{unit - key: v for key, v in space._rows[lead].items()}
+            for lead in sorted(space._rows, reverse=True) if lead >= top]
 
 
 def _combine(basis: Sequence[Chain], combos: Iterable[Chain]) -> List[Chain]:

@@ -167,9 +167,8 @@ def thin_chain_complex(c: CellComplex, a: RateAnnotation,
     of chains on thin (j+1)-cells; its homology is the vanishing homology.
     As for vanishing_betti_oracle, the complex must pass validate.
     """
-    d = c.dim
     spaces = {}
-    for j in range(d + 1):
+    for j in range(max(c.dim, 0) + 1):
         vectors = unit_chains(_thin_ids(c, a, v, j))
         vectors += [chain_boundary(c, u)
                     for u in unit_chains(_thin_ids(c, a, v, j + 1))]
@@ -185,8 +184,6 @@ def vanishing_betti_oracle(c: CellComplex, a: RateAnnotation,
     share the engine's face-law check: on a triangle whose boundary is its
     edges plus a vertex, all rated 0, it gives {0: 0, 1: 1, 2: 0} at T^0.
     """
-    if c.dim < 0:
-        return VanishingBettiTable(v, {0: 0}, 0)
     dims = thin_chain_complex(c, a, v).homology_dims()
     return VanishingBettiTable(v, dims, _euler_from_dims(dims))
 

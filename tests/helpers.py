@@ -14,9 +14,8 @@ from vanhom import (INF, Cell, CellComplex, CellSet, ChainSubspaceComplex,
                     Subspace, VanishingBettiTable, Velocity, build_torus,
                     chain_boundary, constant, is_thin, rank_of, series,
                     t_power, unit_chains)
-from vanhom.homology import (Chain, IntColumn, _add_scaled, _boundary_columns,
-                             _combine, _Eliminator, _integer_reduce,
-                             kernel_basis)
+from vanhom.homology import (Chain, IntColumn, _boundary_columns, _combine,
+                             _integer_reduce, kernel_basis)
 from vanhom.puiseux import _EXP, SeriesParseError, _parse_exponent
 from vanhom.thinness import _integer_series, _MinorTable, _scales
 from vanhom.vanishing import _euler_from_dims, _Pair
@@ -573,34 +572,39 @@ class _RefPairChains:
 
 
 class _RefHomologyCoords:
-    """Representatives and class coordinates for one homology degree."""
+    """Representatives and class coordinates for one homology degree.
+
+    The basis of the bounds and then that of the cycles are extended by
+    units as in kernel_basis, so a cycle that depends on the vectors before
+    it leads a row at its own unit; the other cycles are the
+    representatives.  A chain of the span reduces to minus its coefficients
+    on the independent vectors, at their units.
+    """
 
     def __init__(self, bounds: Subspace, cycles: Subspace):
-        self._elim = _Eliminator(track=True)
-        self.rep_positions: List[int] = []
+        vectors = bounds.basis() + cycles.basis()
+        self._top = 1 + max((key for vec in vectors for key in vec),
+                            default=0)
+        unit = self._top + len(vectors) - 1  # the unit key of vector 0
+        self._space = Subspace({**vec, unit - i: Fraction(1)}
+                               for i, vec in enumerate(vectors))
+        self.rep_units: List[int] = []
         self.reps: List[Chain] = []
-        for vec in bounds.basis():
-            self._elim.add(vec)
-        for vec in cycles.basis():
-            position = self._elim.count
-            if self._elim.add(vec) is None:
-                self.rep_positions.append(position)
-                self.reps.append(vec)
+        for i in range(bounds.dim, len(vectors)):
+            if unit - i not in self._space._rows:
+                self.rep_units.append(unit - i)
+                self.reps.append(vectors[i])
 
     @property
     def dim(self):
         return len(self.reps)
 
     def coords(self, cycle):
-        vec, combo = dict(cycle), {}
-        for pivot, basis_vec, basis_combo in self._elim.rows:
-            coeff = vec.get(pivot)
-            if coeff:
-                vec = _add_scaled(vec, -coeff, basis_vec)
-                combo = _add_scaled(combo, coeff, basis_combo)
-        if vec:
+        left = self._space._reduce(cycle)
+        if any(key >= self._top for key in cycle) or any(
+                key < self._top for key in left):
             raise AssertionError("chain does not represent a class here")
-        return [combo.get(p, Fraction(0)) for p in self.rep_positions]
+        return [-left.get(key, Fraction(0)) for key in self.rep_units]
 
 
 def _ref_matrix_rank(columns):

@@ -146,6 +146,12 @@ class TestSubsets:
         with pytest.raises(NotFaceClosed):
             c.restrict(frozenset([edge]))
 
+    def test_restrict_rejects_unknown_ids(self):
+        c, _ = build_circle(3, 0)
+        with pytest.raises(KeyError) as info:
+            c.restrict([0, 99, -1])
+        assert info.value.args == ("unknown cell ids [-1, 99]",)
+
     def test_restrict_identity(self):
         c, _ = build_circle(4, 0)
         r = c.restrict(c.cell_ids())
@@ -191,6 +197,23 @@ class TestSimplicialBuilder:
         c = b.complex()
         assert sorted(c.cell_ids()) == [3, 10, 11, 20, 21, 22, 23]
         assert validate(c).ok
+
+    def test_duplicate_vertex_rejected(self):
+        b = SimplicialBuilder()
+        b.add_vertex(0)
+        with pytest.raises(InvalidComplex) as info:
+            b.add_vertex(0)
+        assert info.value.args == ("duplicate vertex 0",)
+
+    @pytest.mark.parametrize("build", [
+        lambda n: build_circle(n, 0), lambda n: build_torus(0, 2, n),
+        lambda n: build_pinched_spheres(2, n)],
+        ids=["circle", "torus", "pinched"])
+    def test_builders_refuse_n_below_three(self, build):
+        with pytest.raises(ValueError) as info:
+            build(2)
+        assert info.value.args == ("need n >= 3",)
+        build(3)
 
     def test_rejected_simplex_takes_no_id(self):
         b = SimplicialBuilder()

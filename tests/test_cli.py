@@ -256,6 +256,39 @@ class TestValidate:
         assert code == 3
 
 
+    # documented problem texts, each printed one a line with exit 1
+    @pytest.mark.parametrize("doc, problems", [
+        ({"format": TAG,
+          "cells": [{"id": 0, "dim": 0, "boundary": [[1, 1]]},
+                    {"id": 1, "dim": 0, "boundary": []},
+                    {"id": 2, "dim": 1, "boundary": [[0, 0], [1, 1]],
+                     "rate": "1"}]},
+         ["cell 0 (dim 0): face 1 has dim 0", "vertex 0 has a boundary",
+          "cell 2: zero coefficient on face 0"]),
+        ({**edge_doc(), "geometry": {"ambient_dim": 1,
+                                     "vertices": {"0": ["0"]}}},
+         ["vertex 1 has no coordinates",
+          "cell 2 has vertices without coordinates"]),
+        ({"format": TAG,
+          "cells": [{"id": v, "dim": 0, "boundary": []} for v in range(4)]
+          + [{"id": 4 + i, "dim": 1, "boundary": [[-1, i], [1, (i + 1) % 4]]}
+             for i in range(4)]
+          + [{"id": 8, "dim": 2,
+              "boundary": [[1, 4], [1, 5], [1, 6], [1, 7]]}],
+          "geometry": {"ambient_dim": 2,
+                       "vertices": {"0": ["0", "0"], "1": ["1", "0"],
+                                    "2": ["1", "T"], "3": ["0", "T"]}}},
+         ["cell 8 is not a simplex; cannot rate it from geometry"]),
+        ({**edge_doc(rate="1"), "geometry": [1]},
+         ["bad geometry: geometry must be an object"]),
+    ], ids=["vertex with a boundary", "vertex without coordinates",
+            "square over geometry", "geometry that is a list"])
+    def test_problem_texts(self, tmp_path, capsys, doc, problems):
+        path = write(tmp_path, "bad.json", doc)
+        assert run(capsys, "validate", path) == (
+            1, "".join(f"{problem}\n" for problem in problems), "")
+
+
 class TestGeometry:
     def test_rates_derived_from_coordinates(self, tmp_path, capsys):
         path = write(tmp_path, "edge.json", edge_doc())

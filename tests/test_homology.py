@@ -123,6 +123,69 @@ class TestKernel:
             assert rank_of(vecs) + len(kernel_basis(vecs)) == len(vecs)
 
 
+def random_vectors(rng):
+    """Up to 7 rational vectors on keys -6..3, some of them zero."""
+    return [{k: v for k, v in ((rng.randint(-6, 3),
+                                F(rng.randint(-3, 3), rng.randint(1, 3)))
+                               for _ in range(rng.randint(0, 4))) if v}
+            for _ in range(rng.randint(0, 7))]
+
+
+class TestEchelonContract:
+    """Subspace rows and kernel_basis combinations, keys may be negative."""
+
+    def test_rows_lead_at_their_lowest_key_with_coefficient_one(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            vecs = random_vectors(rng)
+            space = Subspace(vecs)
+            leads = [min(row) for row in space.basis()]
+            assert leads == sorted(set(leads))
+            assert all(row[min(row)] == 1 for row in space.basis())
+            assert space.dim == rank_of(vecs) == len(leads)
+            assert all(space.contains(vec) for vec in vecs)
+
+    def test_kernel_combinations(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            vecs = random_vectors(rng)
+            combos = kernel_basis(vecs)
+            assert len(combos) == len(vecs) - rank_of(vecs)
+            for combo in combos:
+                total = {}
+                for idx, coeff in combo.items():
+                    for k, v in vecs[idx].items():
+                        total[k] = total.get(k, F(0)) + coeff * v
+                assert not any(total.values())
+                # a combination holds its own vector, with coefficient 1,
+                # and earlier ones only; so they are independent
+                assert combo[max(combo)] == 1
+            assert len({max(combo) for combo in combos}) == len(combos)
+            assert rank_of(combos) == len(combos)
+
+    def test_empty_list_and_zero_vectors(self):
+        assert Subspace([]).dim == rank_of([]) == 0
+        assert Subspace([]).basis() == kernel_basis([]) == []
+        assert Subspace([{}, {}]).dim == 0
+        assert kernel_basis([{}, {-3: F(2)}, {}]) == [{0: F(1)}, {2: F(1)}]
+        # zero entries are no keys of a chain
+        assert Subspace([{0: F(0)}, {-1: F(0), 2: F(3)}]).basis() == [
+            {2: F(1)}]
+        assert kernel_basis([{0: F(0)}, {1: F(2), 4: F(0)}]) == [{0: F(1)}]
+        assert Subspace([{1: F(1)}]).contains({0: F(0), 1: F(5)})
+        assert Subspace([]).contains({})
+        assert not Subspace([{}]).contains({-1: F(1)})
+
+    def test_negative_keys(self):
+        space = Subspace([{-2: F(2), 5: F(1)}, {-5: F(3), -2: F(1)}])
+        # the second vector sets -5 aside and clears -2 with the first row
+        assert space.basis() == [{-5: F(1), 5: F(-1, 6)},
+                                 {-2: F(1), 5: F(1, 2)}]
+        assert space.contains({-5: F(3), -2: F(3), 5: F(1)})
+        assert kernel_basis([{-1: F(1)}, {-1: F(-2)}]) == [{0: F(2),
+                                                            1: F(1)}]
+
+
 class TestIntegerReduce:
     def random_columns(self, rng):
         return [{k: v for k, v in ((rng.randint(0, 5), rng.randint(-3, 3))

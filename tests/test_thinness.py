@@ -469,6 +469,17 @@ class TestAnnotateGeometric:
             annotate_geometric(g)
         assert info.value.args == (text,)
 
+    @pytest.mark.parametrize("ambient, simplices, text", [
+        (2, [], "vertex 0: expected 2 coordinates"),
+        (1, [(0,)], "(0,): need dimension >= 1"),
+        (1, [(0, 5)], "unknown vertex 5 in (0, 5)"),
+    ])
+    def test_check_texts(self, ambient, simplices, text):
+        g = GeometricComplex(ambient, {0: (series(()),)}, simplices)
+        with pytest.raises(InvalidComplex) as info:
+            g.check()
+        assert info.value.args == (text,)
+
     def test_missing_face_rejected(self):
         g = GeometricComplex(2,
                              {0: (series(()), series(())),

@@ -68,10 +68,23 @@ class TestFixtures:
         assert t.euler == -1
         assert vanishing_euler(t) == -1
 
-    def test_empty_complex(self):
-        t = vanishing_betti(CellComplex(()), {}, Velocity(F(0)))
-        assert t.dims == {0: 0}
-        assert t.euler == 0
+    # every route gives degree 0 alone, with nothing vanishing; vertices
+    # carry no rate and are never thin
+    @pytest.mark.parametrize("cells", [(), (Cell(0, 0),)],
+                             ids=["empty", "one-vertex"])
+    def test_empty_complex(self, cells):
+        c, rates, v = CellComplex(cells), {}, Velocity(F(0))
+        for t in (vanishing_betti(c, rates, v),
+                  vanishing_betti_oracle(c, rates, v)):
+            assert (t.dims, t.euler) == ({0: 0}, 0)
+        assert sweep(c, rates).dims == {0: (0,)}
+        pair = relative_vanishing(c, rates, frozenset(), v)
+        assert (pair.absolute, pair.relative, pair.attached) == ({0: 0},) * 3
+        assert pair.exact
+        les = les_check(c, rates, frozenset(), v)
+        assert les.exact
+        assert [(n.dim, n.rank_in, n.rank_out) for n in les.nodes] == [
+            (0, 0, 0)] * 3
 
     def test_pinched(self):
         c, rates, _ = build_pinched_spheres(2, 3)
@@ -358,7 +371,7 @@ class TestSweepAgainstOracle:
 
     def test_random_rate_tori(self):
         rng = random.Random(707)
-        for n in (4, 6, 8):
+        for n in (4, 6, 8, 12, 16):
             assert_sweep_matches_oracle(*helpers.random_rate_torus(rng, n))
 
 
