@@ -66,7 +66,7 @@ def chain_boundary(c: CellComplex, chain: Chain) -> Chain:
 def _add_scaled(target: Chain, coeff: Fraction, source: Chain) -> Chain:
     out = dict(target)
     for key, value in source.items():
-        new = out.get(key, Fraction(0)) + coeff * value
+        new = out.get(key, 0) + coeff * value
         if new:
             out[key] = new
         else:
@@ -169,10 +169,16 @@ def _combine(basis: Sequence[Chain], combos: Iterable[Chain]) -> List[Chain]:
 
     Indices past the end of the basis are skipped: a kernel combination of
     basis vectors followed by other vectors yields its basis part.  Integer
-    inputs give integer chains.
+    inputs give integer chains, and a combination {idx: 1} a copy of
+    basis[idx].
     """
     out = []
     for combo in combos:
+        if len(combo) == 1:
+            (idx, coeff), = combo.items()
+            if coeff == 1 and idx < len(basis):
+                out.append(dict(basis[idx]))
+                continue
         vec: Chain = {}
         for idx, coeff in combo.items():
             if idx < len(basis):
@@ -206,17 +212,14 @@ def _boundary_columns(c: CellComplex, ids: Iterable[int],
     return out
 
 
-def _sub_scaled(a: int, col: IntColumn, b: int,
-                pivot: IntColumn) -> IntColumn:
-    """a*col - b*pivot, without zero entries."""
-    out = dict(col) if a == 1 else {key: a * v for key, v in col.items()}
-    for key, v in pivot.items():
+def _subtract(out: IntColumn, b: int, source: IntColumn) -> None:
+    """out -= b * source, in place and without zero entries."""
+    for key, v in source.items():
         new = out.get(key, 0) - b * v
         if new:
             out[key] = new
         else:
             del out[key]
-    return out
 
 
 def _integer_reduce(columns: Iterable[IntColumn], kernel: bool = False,
@@ -226,9 +229,12 @@ def _integer_reduce(columns: Iterable[IntColumn], kernel: bool = False,
 
     After Bareiss (1968): a column is reduced at its lowest row key against
     the stored pivot column there, as a*column - b*pivot, and its content
-    gcd is divided out after every step.  Each step cancels the lowest key,
-    so a column either runs out or lands on a free key and becomes the
-    pivot there.  Integers only, no back-reduction.
+    gcd is divided out after every step.  Each step cancels the lowest key, so a column
+    either runs out or lands on a free key and becomes the pivot there.
+    Integers only, no back-reduction.  A pivot led by 1 or -1 needs no gcd
+    and flips only the sign, which is applied once at the end; steps work
+    in place on the column the first one copied, and one against a
+    single-entry pivot only removes the key.
 
     Returns {input index: pivot key} for the input columns that became
     pivots, in input order (they are independent and span what all the
@@ -240,7 +246,7 @@ def _integer_reduce(columns: Iterable[IntColumn], kernel: bool = False,
     own column's index and earlier ones only, so they are independent and
     span the kernel.  A column only takes in earlier ones, so the pivots
     among the first k columns with keys below m count the rank of that
-    block.
+    block.  Input columns are not changed.
 
     ``echelon``, a dict {lowest key: column} of columns each led by its own
     lowest key, seeds the pivots, each with an empty combination, and each
@@ -257,30 +263,54 @@ def _integer_reduce(columns: Iterable[IntColumn], kernel: bool = False,
     kernels: List[IntColumn] = []
     for index, col in enumerate(columns):
         combo = {index: 1} if kernel else None
+        owned = False  # whether col is a dict this loop made
+        sign = 1  # the reduced column is sign * col, its combination too
         while col:
             low = min(col)
             pivot = echelon.get(low)
             if pivot is None:
-                echelon[low] = col
-                combos[low] = combo
-                independent[index] = low
                 break
-            g = gcd(pivot[low], col[low])
-            a, b = pivot[low] // g, col[low] // g
-            col = _sub_scaled(a, col, b, pivot)
+            lead = pivot[low]
+            if lead == 1 or lead == -1:  # the step is lead * (col - b*pivot)
+                a, b = 1, lead * col[low]
+                sign *= lead
+            else:
+                g = gcd(lead, sign * col[low])
+                a, b = lead // g * sign, sign * col[low] // g
+                sign = 1
+            if a != 1:
+                col = {key: a * v for key, v in col.items()}
+                if combo is not None:
+                    combo = {key: a * v for key, v in combo.items()}
+            elif not owned:
+                col = dict(col)
+            owned = True
+            if len(pivot) == 1:
+                del col[low]
+            else:
+                _subtract(col, b, pivot)
             if combo is None:
                 content = gcd(*col.values())
             else:
-                combo = _sub_scaled(a, combo, b, combos.get(low, {}))
+                held = combos.get(low)  # None for a seeded pivot
+                if held:
+                    _subtract(combo, b, held)
                 content = gcd(*col.values(), *combo.values())
             if content > 1:
                 col = {key: v // content for key, v in col.items()}
                 if combo is not None:
                     combo = {key: v // content for key, v in combo.items()}
-        else:
-            # the column ran out: its combination is a kernel vector
+        if sign < 0:
+            col = {key: -v for key, v in col.items()}
             if combo is not None:
-                kernels.append(combo)
+                combo = {key: -v for key, v in combo.items()}
+        if col:
+            echelon[low] = col
+            combos[low] = combo
+            independent[index] = low
+        elif combo is not None:
+            # the column ran out: its combination is a kernel vector
+            kernels.append(combo)
     return independent, kernels
 
 

@@ -281,8 +281,10 @@ def simplex_rates(g: GeometricComplex,
     n = g.ambient_dim
     largest = max(map(len, simplices), default=1) - 1
     tables: Dict[int, _MinorTable] = {}
+    # a table goes once its base vertex has rated its last simplex
+    last = {simplex[0]: i for i, simplex in enumerate(simplices)}
     rates = []
-    for simplex in simplices:
+    for i, simplex in enumerate(simplices):
         table = tables.get(simplex[0])
         if table is None:
             table = tables[simplex[0]] = _MinorTable({}, n, largest)
@@ -299,6 +301,8 @@ def simplex_rates(g: GeometricComplex,
             raise DegenerateSimplex(
                 f"{simplex}: vertices are affinely dependent")
         rates.append(rate)
+        if last[simplex[0]] == i:
+            del tables[simplex[0]]
     return rates
 
 

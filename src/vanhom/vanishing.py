@@ -80,7 +80,7 @@ def _graded(c: CellComplex, a: RateAnnotation, level) -> Graded:
     """The cells of each dimension by level, under the face law.
 
     level maps a rate to an integer, in the order of the rates, and is
-    applied to each cell's rate (a bool is a 0/1 level); vertices get -1,
+    applied once per rate object (a bool is a 0/1 level); vertices get -1,
     below every cut.  The first cell by id without a rate raises
     MissingRate.  After the rates, the first cell by id with a face that
     is not a cell one dimension down raises NotFaceClosed: every engine
@@ -88,9 +88,18 @@ def _graded(c: CellComplex, a: RateAnnotation, level) -> Graded:
     """
     cells = c.cells()
     graded: Graded = [[] for _ in range(max(c.dim, 0) + 1)]
+    # loading shares one rate object per distinct rate text; an entry
+    # holds its rate, so its id is not reused while the memo lives
+    levels: Dict[int, tuple] = {}
     for cell in cells:
-        graded[cell.dim].append(
-            (level(rate_of(c, a, cell.id)) if cell.dim else -1, cell.id))
+        if cell.dim:
+            rate = rate_of(c, a, cell.id)
+            known = levels.get(id(rate))
+            if known is None:
+                known = levels[id(rate)] = (level(rate), rate)
+            graded[cell.dim].append((known[0], cell.id))
+        else:
+            graded[0].append((-1, cell.id))
     ids = [{cid for _, cid in dim_cells} for dim_cells in graded]
     for cell in cells:
         if cell.dim and not ids[cell.dim - 1].issuperset(
@@ -309,9 +318,17 @@ def _class_rank(images: List[IntColumn], bounds: Dict[int, IntColumn],
     the images lie in Z; otherwise it raises AssertionError(failure).  With
     a chain space's echelon basis as bounds and no reps it checks that the
     images lie in that space, and with {} and no reps that every image is
-    zero.
+    zero.  Each key that leads a single-entry chain of bounds is first
+    dropped from the images and reps: that subtracts a chain of B, which
+    over the rationals leaves every rank as it is, and costs no step.
     """
-    pivots, _ = _integer_reduce(images + reps, echelon=dict(bounds))
+    units = {low for low, x in bounds.items() if len(x) == 1}
+    columns = images + reps
+    if units:
+        columns = [x if units.isdisjoint(x) else
+                   {k: v for k, v in x.items() if k not in units}
+                   for x in columns]
+    pivots, _ = _integer_reduce(columns, echelon=dict(bounds))
     if len(pivots) != len(reps):
         raise AssertionError(failure)
     return sum(index < len(images) for index in pivots)
@@ -345,7 +362,8 @@ class _Pair:
     combinations of W_j), and Z_j = B_j + R_j.  Every check and map
     reduces its images (and R) once against a basis held here
     (_class_rank); a failed check raises AssertionError naming the check,
-    the degree and the velocity.
+    the degree and the velocity.  Q_j shares each chain of P_j that has no
+    key in S, and only the cells outside S get a relative boundary column.
     """
 
     def __init__(self, c: CellComplex, a: RateAnnotation, sub: CellSet,
@@ -356,7 +374,7 @@ class _Pair:
         graded = _graded(c, a, v.contains_rate)
         self.velocity = v
         self.cells = sorted(c.cell_ids() - sub) + sorted(sub)
-        self.split = len(self.cells) - len(sub)
+        self.split = split = len(self.cells) - len(sub)
         key = {cid: k for k, cid in enumerate(self.cells)}
         faces = _boundary_columns(c, self.cells, key)
         d = max(c.dim, 0)
@@ -372,11 +390,14 @@ class _Pair:
             _integer_reduce([{k: x for k, x in faces[t].items() if k in thick}
                              for t in thin[j + 1]], echelon=prime)
             chains["attached"][j] = {low: x for low, x in prime.items()
-                                     if low >= self.split}
-            chains["relative"][j] = {low: self.project(x)
-                                     for low, x in prime.items()
-                                     if low < self.split}
-        relative_faces = [self.project(col) for col in faces]
+                                     if low >= split}
+            # a chain with no key in S is its own projection
+            chains["relative"][j] = {
+                low: x if max(x) < split else self.project(x)
+                for low, x in prime.items() if low < split}
+        # the relative chains are keyed below split
+        relative_faces = [x if max(x, default=-1) < split else self.project(x)
+                          for x in faces[:split]]
 
         self.reps: Dict[str, Dict[int, List[IntColumn]]] = {}
         self.bounds: Dict[str, Dict[int, List[IntColumn]]] = {}

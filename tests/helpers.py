@@ -3,8 +3,9 @@
 import itertools
 import re
 from fractions import Fraction
+from math import gcd
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from vanhom import (INF, Cell, CellComplex, CellSet, ChainSubspaceComplex,
                     ExcisionReport, ExtRational, GeometricComplex,
@@ -434,6 +435,94 @@ def _require_face_closed(c: CellComplex, s: CellSet, what: str):
 def _integer_rank(columns: Iterable[IntColumn]) -> int:
     """Rank over the rationals of sparse integer columns."""
     return len(_integer_reduce(columns)[0])
+
+
+# -- the reference integer kernel ---------------------------------------
+# The engine's elimination kernel as it was before its steps got fast
+# paths: a gcd and a new dict per step.  The engine's kernel must return
+# the same pivots, echelon columns and kernel combinations, and it takes
+# the same steps, so a test can count the engine's elimination steps by
+# running it on this one: _sub_scaled is called once per step of a
+# column (and once more for its combination when kernel=True).
+
+
+def _sub_scaled(a: int, col: IntColumn, b: int,
+                pivot: IntColumn) -> IntColumn:
+    """a*col - b*pivot, without zero entries."""
+    out = dict(col) if a == 1 else {key: a * v for key, v in col.items()}
+    for key, v in pivot.items():
+        new = out.get(key, 0) - b * v
+        if new:
+            out[key] = new
+        else:
+            del out[key]
+    return out
+
+
+def reference_integer_reduce(columns: Iterable[IntColumn],
+                             kernel: bool = False,
+                             echelon: Optional[Dict[int, IntColumn]] = None
+                             ) -> Tuple[Dict[int, int], List[IntColumn]]:
+    """Fraction-free elimination of sparse integer columns.
+
+    After Bareiss (1968): a column is reduced at its lowest row key against
+    the stored pivot column there, as a*column - b*pivot, and its content
+    gcd is divided out after every step.  Each step cancels the lowest key,
+    so a column either runs out or lands on a free key and becomes the
+    pivot there.  Integers only, no back-reduction.
+
+    Returns {input index: pivot key} for the input columns that became
+    pivots, in input order (they are independent and span what all the
+    columns span; their count is the rank over the rationals) and, with
+    ``kernel=True``, one integer kernel combination {input index:
+    coefficient} per column that ran out.  The combination rides along
+    through the same steps, the gcd is divided out of the column and the
+    combination jointly, so every combination is primitive; each holds its
+    own column's index and earlier ones only, so they are independent and
+    span the kernel.  A column only takes in earlier ones, so the pivots
+    among the first k columns with keys below m count the rank of that
+    block.
+
+    ``echelon``, a dict {lowest key: column} of columns each led by its own
+    lowest key, seeds the pivots, each with an empty combination, and each
+    new pivot column is added to it in input order: it ends up an echelon
+    basis of everything spanned, keyed by the lowest keys of the span's
+    nonzero chains whatever the input order.  What it held is not reduced
+    again; the pivots returned are the new ones, counting what the columns
+    add to its span, and a kernel combination sums to a chain of that span.
+    """
+    if echelon is None:
+        echelon = {}
+    combos: Dict[int, Optional[IntColumn]] = {}  # of the new pivots
+    independent: Dict[int, int] = {}
+    kernels: List[IntColumn] = []
+    for index, col in enumerate(columns):
+        combo = {index: 1} if kernel else None
+        while col:
+            low = min(col)
+            pivot = echelon.get(low)
+            if pivot is None:
+                echelon[low] = col
+                combos[low] = combo
+                independent[index] = low
+                break
+            g = gcd(pivot[low], col[low])
+            a, b = pivot[low] // g, col[low] // g
+            col = _sub_scaled(a, col, b, pivot)
+            if combo is None:
+                content = gcd(*col.values())
+            else:
+                combo = _sub_scaled(a, combo, b, combos.get(low, {}))
+                content = gcd(*col.values(), *combo.values())
+            if content > 1:
+                col = {key: v // content for key, v in col.items()}
+                if combo is not None:
+                    combo = {key: v // content for key, v in combo.items()}
+        else:
+            # the column ran out: its combination is a kernel vector
+            if combo is not None:
+                kernels.append(combo)
+    return independent, kernels
 
 
 def cycle_space(c: CellComplex, s: CellSet, j: int) -> Subspace:

@@ -218,6 +218,39 @@ class TestIntegerReduce:
             # each combination holds a new index, so they are independent
             assert len({max(combo) for combo in kernels}) == len(kernels)
 
+    def test_same_steps_as_the_reference_kernel(self):
+        # the fast paths (unit leads without a gcd, steps in place,
+        # single-entry pivots) give what a gcd and a new dict per step
+        # give: the same pivots, echelon columns and kernel combinations,
+        # entry for entry and in the same order, and the inputs untouched
+        rng = random.Random(43)
+        for trial in range(300):
+            unit = trial % 3 == 0  # only unit entries: every fast path
+            cols = [{k: v for k, v in (
+                (rng.randint(0, 7), rng.choice((-1, 1)) if unit
+                 else rng.randint(-4, 4))
+                for _ in range(rng.randint(0, 5))) if v}
+                for _ in range(rng.randint(1, 10))]
+            seeded = {}
+            if trial % 2:
+                # an echelon basis of a few more columns, some with one entry
+                seeds = self.random_columns(rng) + [
+                    {rng.randint(0, 7): rng.choice((-1, 1, 2))}]
+                helpers.reference_integer_reduce(seeds, echelon=seeded)
+            before = [dict(col) for col in cols]
+            for kernel in (False, True):
+                mine, theirs = dict(seeded), dict(seeded)
+                got = _integer_reduce(cols, kernel=kernel, echelon=mine)
+                want = helpers.reference_integer_reduce(cols, kernel=kernel,
+                                                        echelon=theirs)
+                assert got == want, (cols, seeded, kernel)
+                assert [list(x.items()) for x in got[1]] == [
+                    list(x.items()) for x in want[1]]
+                assert list(mine) == list(theirs)
+                assert [list(x.items()) for x in mine.values()] == [
+                    list(x.items()) for x in theirs.values()]
+                assert cols == before
+
     def test_rank_only_returns_no_kernel(self):
         cols = [{0: 2}, {0: 4}, {1: 1}]
         assert _integer_reduce(cols) == ({0: 0, 2: 1}, [])
