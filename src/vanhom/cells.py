@@ -30,17 +30,40 @@ class InvalidComplex(ValueError):
     """Incidence data violating the complex laws."""
 
 
-@dataclass(frozen=True)
 class Cell:
     """One cell: id, dimension, and signed codimension-one faces.
 
-    boundary holds (coefficient, face id) pairs; vertices have none.
+    boundary holds (coefficient, face id) pairs; vertices have none.  A
+    cell compares and hashes by its fields.  It is a slotted class rather
+    than a frozen dataclass, since a document builds one per entry and a
+    slotted cell costs a third as much to build: complexes share cells,
+    so treat one as immutable.
     """
 
-    id: int
-    dim: int
-    boundary: Tuple[Tuple[int, int], ...] = ()
-    label: Optional[str] = None
+    __slots__ = ("id", "dim", "boundary", "label")
+
+    def __init__(self, id: int, dim: int,
+                 boundary: Tuple[Tuple[int, int], ...] = (),
+                 label: Optional[str] = None):
+        self.id = id
+        self.dim = dim
+        self.boundary = boundary
+        self.label = label
+
+    def _fields(self):
+        return self.id, self.dim, self.boundary, self.label
+
+    def __eq__(self, other):
+        if type(other) is not Cell:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"Cell(id={self.id!r}, dim={self.dim!r}, "
+                f"boundary={self.boundary!r}, label={self.label!r})")
 
 
 class CellComplex:
@@ -52,6 +75,9 @@ class CellComplex:
             if cell.id in self._cells:
                 raise InvalidComplex(f"duplicate cell id {cell.id}")
             self._cells[cell.id] = cell
+        # the cells in id order, sorted on first use: loading and every
+        # engine route walk them in that order several times
+        self._sorted: Optional[List[Cell]] = None
 
     def __len__(self):
         return len(self._cells)
@@ -66,7 +92,9 @@ class CellComplex:
         return self._cells[cid]
 
     def cells(self) -> List[Cell]:
-        return [self._cells[cid] for cid in sorted(self._cells)]
+        if self._sorted is None:
+            self._sorted = [self._cells[cid] for cid in sorted(self._cells)]
+        return list(self._sorted)
 
     def cell_ids(self) -> CellSet:
         return frozenset(self._cells)

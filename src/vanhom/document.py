@@ -10,6 +10,10 @@ geometry; an explicit rate wins over geometry, with a warning.
 Loading reads each piece a document shares once: equal coordinate or
 rate texts share one parsed value, and vertex supports come from the
 faces' supports in one pass.  Rates are rational text (see _fraction).
+Its cost is per cell, since every command loads its document afresh:
+the entries and each boundary are walked once, a boundary pair that is
+a list of two ints is taken without further checks, the cells are
+sorted once, and vertex coverage is one set difference per document.
 
 Writing is canonical and byte-stable: cells sorted by id, keys sorted,
 rates as exact fraction strings.
@@ -35,6 +39,7 @@ FORMAT_TAG = "vanhom-complex/1"
 ID_TEXT = re.compile(r"0|-?[1-9][0-9]*")
 _PAIRS = "cell {}: boundary must list [coefficient, face] pairs"
 _LABEL_BREAK = re.compile("[\t\r\n]")
+_ABSENT = object()  # an entry's missing field
 
 
 class DocumentError(ValueError):
@@ -103,44 +108,69 @@ def _check_label(label, cid: int, error) -> None:
                     f"line break, got {reprlib.repr(label)}")
 
 
-def _cells_from_data(entries: list) -> Tuple[CellComplex, Dict[int, object]]:
-    """The complex the cell entries describe, and each entry's rate field."""
+def _pair(pair, cid: int) -> Tuple[int, int]:
+    """A boundary pair other than a list of two ints, checked."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise TypeError(_PAIRS.format(cid))
+    k, f = pair
+    _integer(k, "cell {}: boundary coefficient", cid=cid)
+    _integer(f, "cell {}: face id", cid=cid)
+    return k, f
+
+
+def _cells_from_data(entries: list) -> Tuple[CellComplex, Dict[int, tuple]]:
+    """The complex the cell entries describe, and (dim, rate field) of each
+    entry with a rate field.
+
+    One walk over the entries, and one over each boundary: a pair that is
+    a list of two ints, the common case, is taken at once, and any other
+    goes through the checks that name the first bad pair.
+    """
     cells, rates = [], {}
     for item in entries:
         if not isinstance(item, dict):
             # the entry can be as long as the document: echo a bounded part
             raise TypeError(
                 f"cell entry {reprlib.repr(item)} is not an object")
-        cid = item["id"]
+        cid = item.get("id", _ABSENT)
         if type(cid) is not int:
+            if cid is _ABSENT:
+                raise ValueError(
+                    f"cell entry {reprlib.repr(item)} has no 'id'")
             _integer(cid, "cell id")
-        boundary = item.get("boundary", [])
+        boundary = item.get("boundary", ())
         if not isinstance(boundary, (list, tuple)):
             raise TypeError(_PAIRS.format(cid))
-        pairs = []  # checked and copied at once: the first bad pair is named
+        pairs = []
         for pair in boundary:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise TypeError(_PAIRS.format(cid))
-            k, f = pair
-            if type(k) is not int or type(f) is not int:
-                _integer(k, "cell {}: boundary coefficient", cid=cid)
-                _integer(f, "cell {}: face id", cid=cid)
-            pairs.append((k, f))
-        label = item.get("label")
-        if "label" in item:
+            if type(pair) is list and len(pair) == 2:
+                k, f = pair
+                if type(k) is int and type(f) is int:
+                    pairs.append((k, f))
+                    continue
+            pairs.append(_pair(pair, cid))
+        label = item.get("label", _ABSENT)
+        if label is _ABSENT:
+            label = None
+        elif type(label) is not str or not label.isprintable():
             _check_label(label, cid, TypeError)
-        dim = item["dim"]
+        dim = item.get("dim", _ABSENT)
         if type(dim) is not int or dim < 0:
+            if dim is _ABSENT:
+                raise ValueError(f"cell {cid} has no 'dim'")
             _integer(dim, "cell {}: dim", 0, cid)
         cells.append(Cell(cid, dim, tuple(pairs), label))
-        if "rate" in item:
-            rates[cid] = item["rate"]
+        rate = item.get("rate", _ABSENT)
+        if rate is not _ABSENT:
+            rates[cid] = dim, rate
     return CellComplex(cells), rates
 
 
 def _geometry_from_data(block, precision_cap) -> GeometricComplex:
     if not isinstance(block, dict):
         raise TypeError("geometry must be an object")
+    if "ambient_dim" not in block:
+        raise ValueError("geometry has no 'ambient_dim'")
     ambient = _integer(block["ambient_dim"], "ambient_dim", 0)
     coords: Dict[int, Tuple[PuiseuxSeries, ...]] = {}
     vertices = block.get("vertices", {})
@@ -212,49 +242,60 @@ def _read_document(data, precision_cap):
         return problems, {}, None, None, {}, {}
     try:
         c, fields = _cells_from_data(data["cells"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         problems.append(f"malformed cells: {exc}")
         return problems, {}, None, None, {}, {}
     report = validate(c)
     problems.extend(report.problems)
+    cells = c.cells()
 
     rated: Dict[int, ExtRational] = {}
     parsed: dict = {}  # each distinct rate text, read once
-    for cid, text in fields.items():
-        if c.cell(cid).dim == 0:
+    for cid, (dim, text) in fields.items():
+        if dim == 0:
             problems.append(f"vertex {cid} must not carry a rate")
             continue
-        try:
-            rated[cid] = _parse_rate(text, cid, parsed)
-        except DocumentError as exc:
-            problems.append(str(exc))
+        # True and 1.0 hash like 1: only a str is looked up before the
+        # checks _parse_rate makes
+        rate = parsed.get(text) if type(text) is str else None
+        if rate is None:
+            try:
+                rate = _parse_rate(text, cid, parsed)
+            except DocumentError as exc:
+                problems.append(str(exc))
+                continue
+        rated[cid] = rate
 
     geometry = None
+    uncovered: CellSet = frozenset()
     if "geometry" in data:
         try:
             geometry = _geometry_from_data(data["geometry"], precision_cap)
-        except (KeyError, TypeError, ValueError, SeriesParseError) as exc:
+        except (TypeError, ValueError, SeriesParseError) as exc:
             problems.append(f"bad geometry: {exc}")
         if geometry is not None:
-            for cell in c.cells_of_dim(0):
-                if cell.id not in geometry.vertices:
-                    problems.append(f"vertex {cell.id} has no coordinates")
+            known = geometry.vertices
+            uncovered = frozenset(cell.id for cell in cells
+                                  if cell.dim == 0 and cell.id not in known)
+            problems.extend(f"vertex {vid} has no coordinates"
+                            for vid in sorted(uncovered))
 
     supports: Dict[int, List[int]] = {}
     under = _vertex_supports(c) if geometry is not None else {}
-    for cell in c.cells():
+    for cell in cells:
         if cell.dim == 0 or cell.id in fields:
             continue  # a rate field that does not parse is named above
         if geometry is None:
             problems.append(f"cell {cell.id} has no rate and no geometry")
             continue
-        if under[cell.id] is None:
+        vertices = under[cell.id]
+        if vertices is None:
             continue  # validate has named the broken face
-        support = supports[cell.id] = sorted(under[cell.id])
+        support = supports[cell.id] = sorted(vertices)
         if len(support) != cell.dim + 1:
             problems.append(
                 f"cell {cell.id} is not a simplex; cannot rate it from geometry")
-        elif not all(vid in geometry.vertices for vid in support):
+        elif uncovered and not uncovered.isdisjoint(vertices):
             problems.append(f"cell {cell.id} has vertices without coordinates")
 
     declared = data.get("subcomplexes", {})

@@ -19,6 +19,10 @@ Arithmetic is conservative about truncation: results carry the largest
 precision that is actually justified, and any comparison or valuation whose
 answer is not determined at the available precision raises
 IndeterminateAtPrecision instead of guessing.
+
+Parsing keys each term by its exponent as an integer pair in lowest
+terms and builds one Fraction per exponent and coefficient, at the end:
+a document's coordinates are parsed on every load.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, Iterable, Tuple, Union
 
 
 class IndeterminateAtPrecision(ArithmeticError):
@@ -301,14 +306,24 @@ _TAIL = re.compile(
     rf"\s*(?:\+\s*(?P<o>O)\(\s*T\s*(?:\^\s*(?P<prec>{_EXP}))?\s*\)\s*)?")
 
 
-def _parse_exponent(text: str) -> Fraction:
+def _exponent_key(text: str) -> Tuple[int, int]:
+    """An exponent text as (numerator, denominator) in lowest terms."""
     text = text.strip()
     if text.startswith("("):
         text = text[1:-1]
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text.replace(" ", ""))
-    except (ValueError, ZeroDivisionError) as exc:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:  # past the int-to-str digit limit
         raise SeriesParseError(f"bad exponent {text!r}") from exc
+    if den == 0:
+        raise SeriesParseError(f"bad exponent {text!r}")
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _parse_exponent(text: str) -> Fraction:
+    return Fraction(*_exponent_key(text))
 
 
 def parse_series(text: str) -> PuiseuxSeries:
@@ -326,31 +341,37 @@ def parse_series(text: str) -> PuiseuxSeries:
     denotes exact zero; ``0 + O(T^p)`` an element only known to vanish to
     order p.  Duplicate exponents are rejected, even with a zero
     coefficient, and so is a nonzero term at or beyond the truncation.
+
+    Terms are keyed by their exponent as an integer pair in lowest terms,
+    and each exponent and coefficient becomes a Fraction once, at the end.
     """
-    terms: dict[Fraction, Fraction] = {}
+    # (exponent numerator, denominator) -> (coefficient numerator, denominator)
+    terms: Dict[Tuple[int, int], Tuple[int, int]] = {}
     pos = 0
     while (m := _TERM.match(text, pos)) is not None:
-        sign = m.group("sign") or ""
+        sign, num, den, times, cexp, texp = m.groups()
         if terms and not sign:
             raise SeriesParseError(
                 f"expected '+' or '-' before {m.group().strip()!r}")
-        if not terms and sign.startswith("+"):
+        if sign is None:
+            sign = ""
+        elif not terms and sign.startswith("+"):
             raise SeriesParseError(f"leading '+' in {m.group().strip()!r}")
-        coeff = Fraction(-1 if sign.endswith("-") else 1)
-        exp = Fraction(1)
-        if m.group("num") is not None:
-            den = int(m.group("den") or 1)
+        if num is None:
+            coeff, exp = (1, 1), (1, 1)
+        else:
+            den = int(den or 1)
             if den == 0:
                 raise SeriesParseError(
                     f"zero denominator in {m.group().strip()!r}")
-            coeff *= Fraction(int(m.group("num")), den)
-            if m.group("times") is None:
-                exp = Fraction(0)
-        exp_text = m.group("cexp") or m.group("texp")
+            coeff, exp = (int(num), den), (0, 1) if times is None else (1, 1)
+        if sign.endswith("-"):
+            coeff = (-coeff[0], coeff[1])
+        exp_text = cexp or texp
         if exp_text is not None:
-            exp = _parse_exponent(exp_text)
+            exp = _exponent_key(exp_text)
         if exp in terms:
-            raise SeriesParseError(f"duplicate exponent {exp}")
+            raise SeriesParseError(f"duplicate exponent {Fraction(*exp)}")
         terms[exp] = coeff
         pos = m.end()
     tail = _TAIL.fullmatch(text, pos)
@@ -358,14 +379,19 @@ def parse_series(text: str) -> PuiseuxSeries:
         rest = text[pos:].strip()
         raise SeriesParseError(
             f"unexpected input at {rest!r}" if rest else "empty series")
+    # "0" and "0 + O(T^p)" come through as a single zero-coefficient term
+    kept = [(e, c) for e, c in terms.items() if c[0]]
     precision: ExtRational = INF
     if tail.group("o") is not None:
-        precision = _parse_exponent(tail.group("prec") or "1")
-    # "0" and "0 + O(T^p)" come through as a single zero-coefficient term
-    kept = [(e, c) for e, c in terms.items() if c != 0]
-    if any(e >= precision for e, _ in kept):
-        raise SeriesParseError("term at or beyond the stated truncation")
-    return PuiseuxSeries(tuple(sorted(kept)), precision)
+        pn, pd = _exponent_key(tail.group("prec") or "1")
+        precision = Fraction(pn, pd)
+        if any(n * pd >= pn * d for (n, d), _ in kept):  # n/d >= pn/pd
+            raise SeriesParseError("term at or beyond the stated truncation")
+    # over one common denominator the exponents order as integers
+    scale = lcm(*(d for _, d in terms))
+    kept.sort(key=lambda term: term[0][0] * (scale // term[0][1]))
+    return PuiseuxSeries(tuple((Fraction(*e), Fraction(*c)) for e, c in kept),
+                         precision)
 
 
 def _format_exponent(exp: Fraction) -> str:

@@ -33,6 +33,10 @@ them, per row set, the least leading exponent and the least precision of
 a minor with no known term.  A simplex (v0, v1, ..., vk) so expands only
 its own size-k minors, and at each smaller size reads those aggregates
 off the row sets of its faces through v0.  The table lives for the call.
+A minor of the call's largest size is never kept, and its aggregates
+need only its leading term: it is read off the lowest product of each
+Laplace term, and the minor is expanded in full only when those
+products cancel below its precision.
 
 The thinness filtration at velocity v puts into level j every cell of
 dimension below j together with the thin cells of dimension exactly j.
@@ -161,6 +165,10 @@ def _canonical(acc: Dict[int, int], prec: _IntPrecision) -> _IntSeries:
 
 def _difference(a: _IntSeries, b: _IntSeries) -> _IntSeries:
     (ta, pa), (tb, pb) = a, b
+    if not tb and pb is INF:  # b is exact zero; series are never mutated
+        return a
+    if a is b:  # one shared coordinate: every term cancels
+        return {}, pa
     acc = dict(ta)
     for e, c in tb.items():
         acc[e] = acc.get(e, 0) - c
@@ -195,6 +203,42 @@ def _expand(top: Sequence[_IntSeries], cols: Tuple[int, ...],
     return _canonical(acc, prec)
 
 
+def _leading_term(top: Sequence[_IntSeries], cols: Tuple[int, ...],
+                  below: Dict[Tuple[int, ...], _IntSeries]) -> _IntSeries:
+    """One minor's leading term alone, or the minor in full.
+
+    Takes what _expand takes.  A product of two series has exactly one
+    term at the sum of their least exponents, so the least exponent of a
+    minor's Laplace products is the sum of the lowest terms' exponents in
+    the products that reach it, with the sum of their coefficients.
+    Unless that coefficient cancels below the precision, it settles the
+    minor's leading term, or that the minor has no known term, without
+    expanding the rest; a cancellation falls back to _expand.
+    """
+    lead = None
+    coeff = 0
+    prec: _IntPrecision = INF
+    for k, col in enumerate(cols):
+        ta, pa = top[col]
+        tb, pb = below[cols[:k] + cols[k + 1:]]
+        low_a = min(ta) if ta else pa
+        low_b = min(tb) if tb else pb
+        if pa is not INF or pb is not INF:
+            prec = min(prec, pb + low_a, pa + low_b)
+        if ta and tb:
+            e = low_a + low_b
+            if lead is None or e < lead:
+                lead, coeff = e, 0
+            if e == lead:
+                c = ta[low_a] * tb[low_b]
+                coeff += -c if k % 2 else c
+    if lead is None or (prec is not INF and lead >= prec):
+        return {}, prec
+    if coeff:
+        return {lead: coeff}, prec
+    return _expand(top, cols, below)
+
+
 class _MinorTable:
     """The minors of the row sets drawn from one family of rows.
 
@@ -203,7 +247,8 @@ class _MinorTable:
     minors {columns: series}, expanded from those of its tail, and over
     all of them the least leading exponent and the least precision of a
     minor with no known term, once and on first use.  A row set of size
-    largest is no tail, so only its aggregates are kept.  Filling the
+    largest is no tail, so only its aggregates are kept, and each of its
+    minors is read off its leading term (_leading_term).  Filling the
     table never raises: only valuations judges what it holds.
     """
 
@@ -223,7 +268,10 @@ class _MinorTable:
                 minors = {(j,): top[j] for j in range(self.ncols)}
             else:
                 below = self._row_set(keys[1:])[0]
-                minors = {cols: _expand(top, cols, below)
+                # the aggregates of a minor need only its leading term
+                expand = (_expand if len(keys) < self.largest
+                          else _leading_term)
+                minors = {cols: expand(top, cols, below)
                           for cols in itertools.combinations(
                               range(self.ncols), len(keys))}
             lows = [min(terms) for terms, _ in minors.values() if terms]
@@ -234,18 +282,19 @@ class _MinorTable:
                 min(lows, default=INF), min(floors, default=INF))
         return entry
 
-    def valuations(self, keys: tuple, d: int) -> List[ExtRational]:
+    def valuations(self, keys: tuple) -> List[_IntPrecision]:
         """nu_1..nu_r of the matrix with these rows (see the module
-        docstring), with exponents scaled by d; r = min(rows, columns)."""
+        docstring), in the integer exponents; r = min(rows, columns)."""
         r = min(len(keys), self.ncols)
-        out: List[ExtRational] = []
+        out: List[_IntPrecision] = []
         prev = 0
         for size in range(1, r + 1):
-            best = pending = INF
-            for subset in itertools.combinations(keys, size):
-                _, low, floor = self._row_set(subset)
-                best = min(best, low)
-                pending = min(pending, floor)
+            sets = [self._row_set(subset)
+                    for subset in itertools.combinations(keys, size)]
+            best = min([low for _, low, _ in sets if low is not INF],
+                       default=INF)
+            pending = min([floor for _, _, floor in sets
+                           if floor is not INF], default=INF)
             # a minor with no known term may hide its leading term
             # anywhere from its precision on
             if pending is not INF and best >= pending:
@@ -255,7 +304,7 @@ class _MinorTable:
             if best is INF:
                 out.extend([INF] * (r - size + 1))
                 return out
-            out.append(Fraction(best - prev, d))
+            out.append(best - prev)
             prev = best
         return out
 
@@ -266,17 +315,24 @@ def simplex_rates(g: GeometricComplex,
 
     Rows are the coordinate differences to the first vertex.  The vertices
     the simplices use are converted to integer series once, with one D and
-    one L for all of them, and the rows are formed in integers.  Each row
+    one L for all of them (a series shared by several coordinates once),
+    and the rows are formed in integers.  Each row
     (base, vertex) is formed once per call and each minor (base, row
     vertices, columns) expanded once, in a table keyed by base vertex (see
-    the module docstring).  Simplices are rated in the order given and the
-    first failure is raised: IndeterminateAtPrecision, or DegenerateSimplex
-    for affinely dependent vertices.
+    the module docstring).  Equal rates share one Fraction.  Simplices are
+    rated in the order given and the first failure is raised:
+    IndeterminateAtPrecision, or DegenerateSimplex for affinely dependent
+    vertices.
     """
     simplices = [tuple(s) for s in simplices]
     used = sorted({vid for s in simplices for vid in s})
-    d, scale = _scales(x for vid in used for x in g.vertices[vid])
-    points = {vid: [_integer_series(x, d, scale) for x in g.vertices[vid]]
+    # a loaded document shares one series per distinct coordinate text:
+    # convert each shared series once
+    distinct = {id(x): x for vid in used for x in g.vertices[vid]}
+    d, scale = _scales(distinct.values())
+    converted = {key: _integer_series(x, d, scale)
+                 for key, x in distinct.items()}
+    points = {vid: [converted[id(x)] for x in g.vertices[vid]]
               for vid in used}
     n = g.ambient_dim
     largest = max(map(len, simplices), default=1) - 1
@@ -284,6 +340,7 @@ def simplex_rates(g: GeometricComplex,
     # a table goes once its base vertex has rated its last simplex
     last = {simplex[0]: i for i, simplex in enumerate(simplices)}
     rates = []
+    shared: Dict[int, Fraction] = {}  # integer rate -> rate
     for i, simplex in enumerate(simplices):
         table = tables.get(simplex[0])
         if table is None:
@@ -296,11 +353,13 @@ def simplex_rates(g: GeometricComplex,
         if len(simplex) - 1 > n:
             raise DegenerateSimplex(
                 f"{simplex}: dimension exceeds the ambient space")
-        rate = table.valuations(simplex[1:], d)[-1]
+        rate = table.valuations(simplex[1:])[-1]
         if rate is INF:
             raise DegenerateSimplex(
                 f"{simplex}: vertices are affinely dependent")
-        rates.append(rate)
+        if rate not in shared:
+            shared[rate] = Fraction(rate, d)
+        rates.append(shared[rate])
         if last[simplex[0]] == i:
             del tables[simplex[0]]
     return rates

@@ -93,7 +93,10 @@ def _graded(c: CellComplex, a: RateAnnotation, level) -> Graded:
     levels: Dict[int, tuple] = {}
     for cell in cells:
         if cell.dim:
-            rate = rate_of(c, a, cell.id)
+            try:
+                rate = a[cell.id]
+            except KeyError:
+                rate = rate_of(c, a, cell.id)  # raises MissingRate
             known = levels.get(id(rate))
             if known is None:
                 known = levels[id(rate)] = (level(rate), rate)
@@ -102,10 +105,12 @@ def _graded(c: CellComplex, a: RateAnnotation, level) -> Graded:
             graded[0].append((-1, cell.id))
     ids = [{cid for _, cid in dim_cells} for dim_cells in graded]
     for cell in cells:
-        if cell.dim and not ids[cell.dim - 1].issuperset(
-                face for _, face in cell.boundary):
-            raise NotFaceClosed(f"cell {cell.id} has a face that is not a "
-                                f"{cell.dim - 1}-cell")
+        if cell.dim:
+            below = ids[cell.dim - 1]
+            for _, face in cell.boundary:
+                if face not in below:
+                    raise NotFaceClosed(f"cell {cell.id} has a face that is "
+                                        f"not a {cell.dim - 1}-cell")
     return [sorted(cells) for cells in graded]
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import reprlib
 from fractions import Fraction
 from math import gcd
 from dataclasses import dataclass
@@ -17,8 +18,14 @@ from vanhom import (INF, Cell, CellComplex, CellSet, ChainSubspaceComplex,
                     t_power, unit_chains)
 from vanhom.homology import (Chain, IntColumn, _boundary_columns, _combine,
                              _integer_reduce, kernel_basis)
-from vanhom.puiseux import _EXP, SeriesParseError, _parse_exponent
-from vanhom.thinness import _integer_series, _MinorTable, _scales
+from vanhom.cells import validate
+from vanhom.document import (_PAIRS, FORMAT_TAG, ID_TEXT, ComplexDocument,
+                             DocumentError, _check_label, _integer,
+                             _parse_rate, _vertex_supports)
+from vanhom.puiseux import (_EXP, _TAIL, _TERM, SeriesParseError,
+                            _parse_exponent)
+from vanhom.thinness import (_integer_series, _MinorTable, _scales,
+                             simplex_rates)
 from vanhom.vanishing import _euler_from_dims, _Pair
 
 RATE_CHOICES = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
@@ -414,8 +421,9 @@ def invariant_factor_valuations(
     d, scale = _scales(x for row in matrix for x in row)
     rows = {i: [_integer_series(x, d, scale) for x in row]
             for i, row in enumerate(matrix)}
-    return _MinorTable(rows, len(matrix[0]) if matrix else 0,
-                       len(rows)).valuations(tuple(rows), d)
+    table = _MinorTable(rows, len(matrix[0]) if matrix else 0, len(rows))
+    return [nu if nu is INF else Fraction(nu, d)
+            for nu in table.valuations(tuple(rows))]
 
 
 def restrict_chain(chain: Chain, keep: CellSet) -> Chain:
@@ -903,3 +911,245 @@ def reference_parse_series(text: str):
     if precision is not INF and any(e >= precision for e, _ in terms):
         raise SeriesParseError("term at or beyond the stated truncation")
     return series(terms, precision=precision)
+
+
+# -- the reference series parser ----------------------------------------
+# parse_series as it was before it keyed its terms by integer pairs: one
+# Fraction per coefficient, sign and exponent.  The library's parser must
+# accept the same texts with the same values and refuse the others with
+# the same message.
+
+
+def _ref_fraction_exponent(text: str) -> Fraction:
+    text = text.strip()
+    if text.startswith("("):
+        text = text[1:-1]
+    try:
+        return Fraction(text.replace(" ", ""))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SeriesParseError(f"bad exponent {text!r}") from exc
+
+
+def reference_fraction_parse_series(text: str) -> PuiseuxSeries:
+    """parse_series with a Fraction built for every piece of a term."""
+    terms: dict[Fraction, Fraction] = {}
+    pos = 0
+    while (m := _TERM.match(text, pos)) is not None:
+        sign = m.group("sign") or ""
+        if terms and not sign:
+            raise SeriesParseError(
+                f"expected '+' or '-' before {m.group().strip()!r}")
+        if not terms and sign.startswith("+"):
+            raise SeriesParseError(f"leading '+' in {m.group().strip()!r}")
+        coeff = Fraction(-1 if sign.endswith("-") else 1)
+        exp = Fraction(1)
+        if m.group("num") is not None:
+            den = int(m.group("den") or 1)
+            if den == 0:
+                raise SeriesParseError(
+                    f"zero denominator in {m.group().strip()!r}")
+            coeff *= Fraction(int(m.group("num")), den)
+            if m.group("times") is None:
+                exp = Fraction(0)
+        exp_text = m.group("cexp") or m.group("texp")
+        if exp_text is not None:
+            exp = _ref_fraction_exponent(exp_text)
+        if exp in terms:
+            raise SeriesParseError(f"duplicate exponent {exp}")
+        terms[exp] = coeff
+        pos = m.end()
+    tail = _TAIL.fullmatch(text, pos)
+    if not terms or tail is None:
+        rest = text[pos:].strip()
+        raise SeriesParseError(
+            f"unexpected input at {rest!r}" if rest else "empty series")
+    precision: ExtRational = INF
+    if tail.group("o") is not None:
+        precision = _ref_fraction_exponent(tail.group("prec") or "1")
+    # "0" and "0 + O(T^p)" come through as a single zero-coefficient term
+    kept = [(e, c) for e, c in terms.items() if c != 0]
+    if any(e >= precision for e, _ in kept):
+        raise SeriesParseError("term at or beyond the stated truncation")
+    return PuiseuxSeries(tuple(sorted(kept)), precision)
+
+
+# -- the reference loader -----------------------------------------------
+# _cells_from_data, _geometry_from_data and _read_document as they were
+# before loading got its fast paths: every boundary pair through the
+# checks that name it, a frozen dataclass per cell, the cells sorted for
+# each walk, and coverage checked vertex by vertex.  The loader must find
+# the same problems in the same order, and load the same document or
+# raise the same text; only a missing "id", "dim" or "ambient_dim" is
+# named differently (see test_document.REFERENCE_TEXTS).
+
+
+@dataclass(frozen=True)
+class _RefCell:
+    id: int
+    dim: int
+    boundary: Tuple[Tuple[int, int], ...] = ()
+    label: Optional[str] = None
+
+
+def reference_cells_from_data(entries: list):
+    """The complex the cell entries describe, and each entry's rate field."""
+    cells, rates = [], {}
+    for item in entries:
+        if not isinstance(item, dict):
+            # the entry can be as long as the document: echo a bounded part
+            raise TypeError(
+                f"cell entry {reprlib.repr(item)} is not an object")
+        cid = item["id"]
+        if type(cid) is not int:
+            _integer(cid, "cell id")
+        boundary = item.get("boundary", [])
+        if not isinstance(boundary, (list, tuple)):
+            raise TypeError(_PAIRS.format(cid))
+        pairs = []  # checked and copied at once: the first bad pair is named
+        for pair in boundary:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise TypeError(_PAIRS.format(cid))
+            k, f = pair
+            if type(k) is not int or type(f) is not int:
+                _integer(k, "cell {}: boundary coefficient", cid=cid)
+                _integer(f, "cell {}: face id", cid=cid)
+            pairs.append((k, f))
+        label = item.get("label")
+        if "label" in item:
+            _check_label(label, cid, TypeError)
+        dim = item["dim"]
+        if type(dim) is not int or dim < 0:
+            _integer(dim, "cell {}: dim", 0, cid)
+        cells.append(_RefCell(cid, dim, tuple(pairs), label))
+        if "rate" in item:
+            rates[cid] = item["rate"]
+    return CellComplex(cells), rates
+
+
+def reference_geometry_from_data(block, precision_cap) -> GeometricComplex:
+    if not isinstance(block, dict):
+        raise TypeError("geometry must be an object")
+    ambient = _integer(block["ambient_dim"], "ambient_dim", 0)
+    coords: Dict[int, Tuple[PuiseuxSeries, ...]] = {}
+    vertices = block.get("vertices", {})
+    if not isinstance(vertices, dict):
+        raise TypeError("vertices must map vertex ids to coordinates")
+    cap = None if precision_cap is None else Fraction(precision_cap)
+    # grid rows and columns repeat their coordinates: parse each text once
+    # and let equal texts share one (frozen) series
+    parsed: Dict[str, PuiseuxSeries] = {}
+    for key, texts in vertices.items():
+        # only the canonical form, so no two keys name one vertex
+        if not ID_TEXT.fullmatch(key):
+            raise ValueError(
+                f"vertex key {key!r} is not a canonical decimal integer")
+        if not (isinstance(texts, list) and len(texts) == ambient
+                and all(isinstance(text, str) for text in texts)):
+            raise TypeError(
+                f"vertex {key}: expected a list of {ambient} series strings")
+        for text in texts:
+            if text not in parsed:
+                s = reference_fraction_parse_series(text)
+                parsed[text] = s if cap is None else s.truncate(cap)
+        coords[int(key)] = tuple(parsed[text] for text in texts)
+    return GeometricComplex(ambient_dim=ambient, vertices=coords,
+                            simplices=[])
+
+
+def reference_read_document(data, precision_cap):
+    """Check a document and build what it describes, in one pass."""
+    if not isinstance(data, dict):
+        return ["a document must be a JSON object"], {}, None, None, {}, {}
+    problems = []
+    if data.get("format") != FORMAT_TAG:
+        problems.append(f"format tag must be {FORMAT_TAG!r}")
+    if not isinstance(data.get("cells"), list):
+        problems.append("missing cell list")
+        return problems, {}, None, None, {}, {}
+    try:
+        c, fields = reference_cells_from_data(data["cells"])
+    except (KeyError, TypeError, ValueError) as exc:
+        problems.append(f"malformed cells: {exc}")
+        return problems, {}, None, None, {}, {}
+    report = validate(c)
+    problems.extend(report.problems)
+
+    rated: Dict[int, ExtRational] = {}
+    parsed: dict = {}  # each distinct rate text, read once
+    for cid, text in fields.items():
+        if c.cell(cid).dim == 0:
+            problems.append(f"vertex {cid} must not carry a rate")
+            continue
+        try:
+            rated[cid] = _parse_rate(text, cid, parsed)
+        except DocumentError as exc:
+            problems.append(str(exc))
+
+    geometry = None
+    if "geometry" in data:
+        try:
+            geometry = reference_geometry_from_data(data["geometry"],
+                                                    precision_cap)
+        except (KeyError, TypeError, ValueError, SeriesParseError) as exc:
+            problems.append(f"bad geometry: {exc}")
+        if geometry is not None:
+            for cell in c.cells_of_dim(0):
+                if cell.id not in geometry.vertices:
+                    problems.append(f"vertex {cell.id} has no coordinates")
+
+    supports: Dict[int, List[int]] = {}
+    under = _vertex_supports(c) if geometry is not None else {}
+    for cell in c.cells():
+        if cell.dim == 0 or cell.id in fields:
+            continue  # a rate field that does not parse is named above
+        if geometry is None:
+            problems.append(f"cell {cell.id} has no rate and no geometry")
+            continue
+        if under[cell.id] is None:
+            continue  # validate has named the broken face
+        support = supports[cell.id] = sorted(under[cell.id])
+        if len(support) != cell.dim + 1:
+            problems.append(
+                f"cell {cell.id} is not a simplex; cannot rate it from geometry")
+        elif not all(vid in geometry.vertices for vid in support):
+            problems.append(f"cell {cell.id} has vertices without coordinates")
+
+    declared = data.get("subcomplexes", {})
+    if not isinstance(declared, dict):
+        problems.append("subcomplexes must map names to cell id lists")
+        declared = {}
+    subcomplexes: Dict[str, CellSet] = {}
+    for name, ids in declared.items():
+        if not (isinstance(ids, list)
+                and all(type(i) is int for i in ids)):
+            problems.append(f"subcomplex {name!r} must list cell ids")
+            continue
+        unknown = [i for i in ids if i not in c]
+        if unknown:
+            problems.append(f"subcomplex {name!r}: unknown cells {unknown}")
+        else:
+            subcomplexes[name] = frozenset(ids)
+    return problems, subcomplexes, c, geometry, rated, supports
+
+
+def reference_document_problems(data, precision_cap=None) -> List[str]:
+    problems, subcomplexes, c, *_ = reference_read_document(data,
+                                                            precision_cap)
+    return problems + [f"subcomplex {name!r} is not closed under faces"
+                       for name, ids in subcomplexes.items()
+                       if not c.is_face_closed(ids)]
+
+
+def reference_load_document(data, precision_cap=None) -> ComplexDocument:
+    problems, subcomplexes, c, geometry, rates, supports = (
+        reference_read_document(data, precision_cap))
+    if problems:
+        raise DocumentError("; ".join(problems))
+    warnings = [f"cell {cid}: explicit rate overrides geometry"
+                for cid in sorted(rates)] if geometry is not None else []
+    if supports:
+        rates.update(zip(supports,
+                         simplex_rates(geometry, supports.values())))
+    return ComplexDocument(complex=c, rates=dict(sorted(rates.items())),
+                           subcomplexes=subcomplexes, name=data.get("name"),
+                           warnings=warnings)

@@ -281,8 +281,18 @@ class TestValidate:
          ["cell 8 is not a simplex; cannot rate it from geometry"]),
         ({**edge_doc(rate="1"), "geometry": [1]},
          ["bad geometry: geometry must be an object"]),
+        ({"format": TAG, "cells": [{"dim": 0}]},
+         ["malformed cells: cell entry {'dim': 0} has no 'id'"]),
+        ({"format": TAG, "cells": [{"id": 0, "dim": 0},
+                                   {"id": 1, "boundary": []}]},
+         ["malformed cells: cell 1 has no 'dim'"]),
+        ({**edge_doc(), "geometry": {"vertices": {}}},
+         ["bad geometry: geometry has no 'ambient_dim'",
+          "cell 2 has no rate and no geometry"]),
     ], ids=["vertex with a boundary", "vertex without coordinates",
-            "square over geometry", "geometry that is a list"])
+            "square over geometry", "geometry that is a list",
+            "entry without an id", "entry without a dim",
+            "geometry without ambient_dim"])
     def test_problem_texts(self, tmp_path, capsys, doc, problems):
         path = write(tmp_path, "bad.json", doc)
         assert run(capsys, "validate", path) == (

@@ -6,18 +6,22 @@ path with the direct route: every coordinate parsed on its own, every
 support taken by vertex_support and every rate by simplex_rate.
 """
 
+import copy
 import itertools
 import random
+import reprlib
 from fractions import Fraction
 
 import pytest
 
-from helpers import vertex_support
+from helpers import (random_complex, reference_document_problems,
+                     reference_load_document, vertex_support)
 from vanhom import (INF, Cell, CellComplex, DegenerateSimplex,
                     GeometricComplex, IndeterminateAtPrecision,
                     SeriesParseError, SimplicialBuilder,
-                    build_pinched_spheres, document_dict, document_problems,
-                    load_document, parse_series, simplex_rate)
+                    build_pinched_spheres, build_torus, document_dict,
+                    document_problems, load_document, parse_series,
+                    simplex_rate)
 from vanhom.document import _fraction, _read_document, _vertex_supports
 
 # equal series under distinct texts ("T^2", "T^ 2", "T ^ 2"), truncated
@@ -296,3 +300,234 @@ class TestLabels:
         assert ([cell.label for cell in loaded.cells()]
                 == [cell.label for cell in c.cells()])
         assert any(cell.label for cell in c.cells())
+
+
+# -- the loader against the one it replaced -----------------------------
+
+def annotated_document(rng):
+    if rng.random() < 0.5:
+        c, rates = build_torus(0, 2, 3)  # labelled cells
+    else:
+        c, rates = random_complex(rng)
+    return document_dict(c, rates)
+
+
+def pair_document(rng):
+    c, rates, circle = build_pinched_spheres(rng.choice((1, 2)), 3)
+    return document_dict(c, rates, subcomplexes={"circle": circle})
+
+
+def geometric_document(rng):
+    return random_geometric_document(rng.randrange(1000))
+
+
+def pick(rng, data, dim=None):
+    """A random cell entry, of the given dimension if there is one."""
+    entries = [item for item in data["cells"]
+               if dim is None or item["dim"] == dim]
+    return rng.choice(entries or data["cells"])
+
+
+def pick_pair(rng, data):
+    return rng.choice([item for item in data["cells"] if item["boundary"]])
+
+
+def replace_entry(rng, data):
+    cells = data["cells"]
+    cells[rng.randrange(len(cells))] = rng.choice(
+        [[1, 2], "cell", 7, None, list(range(40))])
+
+
+def pair_shape(rng, data):
+    item = pick_pair(rng, data)
+    boundary = item["boundary"]
+    boundary[rng.randrange(len(boundary))] = rng.choice(
+        [[1], [1, 0, 0], [], {"k": 1, "f": 0}, "10", 5, (1, 0)])
+
+
+def pair_types(rng, data):
+    item = pick_pair(rng, data)
+    pair = rng.choice(item["boundary"])
+    pair[rng.randrange(2)] = rng.choice([1.0, 1.5, True, False, "1", None])
+
+
+def boundary_type(rng, data):
+    pick(rng, data)["boundary"] = rng.choice(["[]", {"0": 1}, 3, None])
+
+
+def missing_key(rng, data):
+    if "geometry" in data and rng.random() < 0.3:
+        del data["geometry"]["ambient_dim"]
+    else:
+        del pick(rng, data)[rng.choice(("id", "dim"))]
+
+
+def id_and_dim(rng, data):
+    pick(rng, data)[rng.choice(("id", "dim"))] = rng.choice(
+        [1.0, "2", True, -1, None, [0]])
+
+
+def label(rng, data):
+    pick(rng, data)["label"] = rng.choice(
+        ["a\tb", "a\nb", "x\ry", 5, None, ["a"], "ok \x00", "é"])
+
+
+def rate_text(rng, data):
+    item = pick(rng, data, dim=rng.choice((0, 1, 2)))
+    item["rate"] = rng.choice(["1/0", "x", 1.5, True, None, "inf", "1_0",
+                               "-3/4", 2, "٣", " 1 "])
+
+
+def coordinate_text(rng, data):
+    if "geometry" not in data:
+        return rate_text(rng, data)
+    vertices = data["geometry"]["vertices"]
+    key = rng.choice(sorted(vertices))
+    choice = rng.randrange(4)
+    if choice == 0:
+        point = vertices[key]
+        point[rng.randrange(len(point))] = rng.choice(
+            ["T^^2", "", "1/0*T", "T + T", "T^(1/0)", 3, "O(T)",
+             "T^( -1 / 2 )", "0*T + O(T)"])
+    elif choice == 1:
+        vertices[key] = vertices[key][:-1]
+    elif choice == 2:
+        vertices["0" + key] = vertices.pop(key)
+    else:
+        data["geometry"]["ambient_dim"] = rng.choice([1.5, -1, "2", 9])
+
+
+def uncovered_vertex(rng, data):
+    if "geometry" not in data:
+        return broken_face(rng, data)
+    vertices = data["geometry"]["vertices"]
+    del vertices[rng.choice(sorted(vertices))]
+
+
+def non_simplex(rng, data):
+    # a triangle whose boundary runs over one edge twice: the double
+    # boundary cancels, but its support has two vertices
+    item = pick(rng, data, dim=2)
+    if item["dim"] != 2:
+        return broken_face(rng, data)
+    (k, f), *_ = item["boundary"]
+    item["boundary"] = [[k, f], [-k, f]]
+    item.pop("rate", None)
+
+
+def broken_face(rng, data):
+    item = pick_pair(rng, data)
+    pair = rng.choice(item["boundary"])
+    choice = rng.randrange(4)
+    if choice == 0:
+        pair[1] = 10_000  # unknown
+    elif choice == 1:
+        pair[1] = item["id"]  # wrong dimension
+    elif choice == 2:
+        pair[0] = 0
+    else:
+        pick(rng, data, dim=0)["boundary"] = [[1, item["id"]]]
+
+
+def subcomplex(rng, data):
+    ids = [item["id"] for item in data["cells"]]
+    data.setdefault("subcomplexes", {})["s"] = rng.choice(
+        [[max(ids)], [max(ids) + 5], "1", [1.0], [True], {}])
+    if rng.random() < 0.2:
+        data["subcomplexes"] = rng.choice([[], "s"])
+
+
+def document_level(rng, data):
+    choice = rng.randrange(5)
+    if choice == 0:
+        data["format"] = "vanhom-complex/2"
+    elif choice == 1:
+        data["cells"] = {}
+    elif choice == 2:
+        data["geometry"] = rng.choice([[1], {"ambient_dim": 1,
+                                             "vertices": []}])
+    elif choice == 3:
+        data["cells"].append(dict(data["cells"][0]))  # a duplicate id
+    else:
+        pick(rng, data, dim=1)["rate"] = "1"  # overrides geometry
+
+
+FAULTS = [replace_entry, pair_shape, pair_types, boundary_type, missing_key,
+          id_and_dim, label, rate_text, coordinate_text, uncovered_vertex,
+          non_simplex, broken_face, subcomplex, document_level]
+
+
+def renamed(text, data):
+    """A reference text with a missing key named the way loading names it
+    now: the reference printed only the key's repr."""
+    entries = [item for item in data.get("cells", ())
+               if isinstance(item, dict)]
+    for item in entries:
+        if "id" not in item:
+            text = text.replace("malformed cells: 'id'",
+                                f"malformed cells: cell entry "
+                                f"{reprlib.repr(item)} has no 'id'")
+            break
+    for item in entries:
+        if "dim" not in item and "id" in item:
+            text = text.replace("malformed cells: 'dim'",
+                                f"malformed cells: cell {item['id']} "
+                                f"has no 'dim'")
+            break
+    return text.replace("bad geometry: 'ambient_dim'",
+                        "bad geometry: geometry has no 'ambient_dim'")
+
+
+def loaded(load, data, cap):
+    """What a load gives, as plain values, or its exception and text."""
+    try:
+        doc = load(data, precision_cap=cap)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc).__name__, str(exc)
+    cells = [(cell.id, cell.dim, cell.boundary, cell.label)
+             for cell in doc.complex.cells()]
+    return (cells, doc.rates, doc.subcomplexes, doc.name, doc.warnings)
+
+
+class TestReferenceLoader:
+    """Loading finds what the loader it replaced finds, in the same
+    order, and loads the same document or raises the same text."""
+
+    KINDS = (annotated_document, geometric_document, pair_document)
+
+    def test_faults_read_as_before(self):
+        rng = random.Random(2424)
+        seen = set()
+        for trial in range(900):
+            data = self.KINDS[trial % 3](rng)
+            fault = rng.choice(FAULTS)
+            fault(rng, data)
+            cap = rng.choice([None, Fraction(1), Fraction(3, 2)])
+            expected = [renamed(p, data) for p in
+                        reference_document_problems(copy.deepcopy(data), cap)]
+            assert document_problems(copy.deepcopy(data), cap) == expected
+            kind, *text = ref = loaded(reference_load_document,
+                                       copy.deepcopy(data), cap)
+            if text and isinstance(text[0], str):
+                ref = (kind, renamed(text[0], data))
+            assert loaded(load_document, copy.deepcopy(data), cap) == ref
+            seen.add((fault.__name__, bool(expected)))
+        # every fault was injected, and nearly every one found a problem
+        assert {name for name, _ in seen} == {f.__name__ for f in FAULTS}
+        assert {name for name, found in seen if found} >= {
+            f.__name__ for f in FAULTS if f is not document_level}
+
+    def test_renamed_texts(self):
+        data = TestSharedPieces.circle(1, 1)
+        del data["cells"][1]["id"]
+        assert document_problems(data) == [
+            "malformed cells: cell entry {'boundary': [], 'dim': 0} has no "
+            "'id'"]
+        data = TestSharedPieces.circle(1, 1)
+        del data["cells"][3]["dim"]
+        assert document_problems(data) == [
+            "malformed cells: cell 3 has no 'dim'"]
+        data = random_geometric_document(0)
+        del data["geometry"]["ambient_dim"]
+        assert document_problems(data)[0] == (
+            "bad geometry: geometry has no 'ambient_dim'")

@@ -222,6 +222,47 @@ class TestIntegerKernel:
         # the sample reaches every kind of answer
         assert min(kinds.values()) >= 100, kinds
 
+    def cancelling(self, rng):
+        """A matrix whose largest-size minors cancel in their lowest
+        products: the last row is a multiple of the first, plus entries
+        of higher valuation or nothing.  With exact entries a minor then
+        cancels exactly or leaves a higher term; with truncated ones it
+        may cancel only up to the truncation."""
+        size = rng.randint(2, 4)
+        cols = rng.randint(size, 4)
+        m = [[self.entry(rng) for _ in range(cols)] for _ in range(size)]
+        factor = series([(rng.choice(self.EXPONENTS),
+                          rng.choice(self.COEFFICIENTS))])
+        lift = t_power(rng.choice(self.EXPONENTS[3:]))
+        m[-1] = [x * factor + (self.entry(rng) * lift
+                               if rng.random() < 0.5 else series(()))
+                 for x in m[0]]
+        return m
+
+    def test_cancelling_lowest_products(self, monkeypatch):
+        # _expand runs on a largest-size minor only when the lowest
+        # products cancel (see thinness._leading_term)
+        expand, fallbacks = thinness._expand, []
+
+        def spy(top, cols, below):
+            fallbacks.append(len(cols))
+            return expand(top, cols, below)
+
+        monkeypatch.setattr(thinness, "_expand", spy)
+        rng = random.Random(2416)
+        kinds = Counter()
+        for _ in range(600):
+            m = self.cancelling(rng)
+            expected = self.outcome(
+                helpers.reference_invariant_factor_valuations, m)
+            fallbacks.clear()
+            assert self.outcome(invariant_factor_valuations, m) == expected
+            if len(m) in fallbacks:
+                kinds["indeterminate" if isinstance(expected, str)
+                      else "infinite" if INF in expected else "finite"] += 1
+        # the cancelling minors reach every kind of answer
+        assert min(kinds.values()) >= 20 and len(kinds) == 3, kinds
+
     def test_batch_matches_single_rates(self):
         for g in (helpers.geometric_torus(), helpers.embedded_slab()):
             assert simplex_rates(g, g.simplices) == [
@@ -327,8 +368,17 @@ class TestMinorTable:
                     errors and not isinstance(singles[0], tuple))
         assert min(kinds.values()) >= 100, kinds
 
-    def test_slab_expands_each_minor_once(self, monkeypatch):
-        g = helpers.embedded_slab()
+    @staticmethod
+    def expansions(g, monkeypatch):
+        """Rate g's simplices in one call, spying on _expand.
+
+        Asserts that no minor is expanded twice, that every minor below
+        the largest size is expanded once, and that a largest-size minor
+        is expanded only when the lowest products of its Laplace terms do
+        not settle its leading term, counted here in PuiseuxSeries.
+        Returns every minor needed, in order, with repeats, and the
+        largest-size minors with those of them that are not settled.
+        """
         expanded = []
         expand = thinness._expand
 
@@ -341,13 +391,51 @@ class TestMinorTable:
 
         monkeypatch.setattr(thinness, "_expand", spy)
         simplex_rates(g, g.simplices)
+        n = g.ambient_dim
         needed = [(s[0], rows, cols) for s in g.simplices
                   for size in range(2, len(s))
                   for rows in itertools.combinations(s[1:], size)
-                  for cols in itertools.combinations(range(3), size)]
-        assert len(expanded) == len(set(expanded)) == len(set(needed))
-        # the tetrahedra read their triangles' minors
+                  for cols in itertools.combinations(range(n), size)]
+        largest = max(map(len, g.simplices)) - 1
+        # exact coordinates: a leading term is settled unless the lowest
+        # products cancel
+        assert all(x.precision is INF
+                   for point in g.vertices.values() for x in point)
+
+        def row(base, vid):
+            return [x - y for x, y in zip(g.vertices[vid], g.vertices[base])]
+
+        def settled(base, rows, cols):
+            sums = {}
+            for k, col in enumerate(cols):
+                rest = cols[:k] + cols[k + 1:]
+                a = row(base, rows[0])[col]
+                b = helpers._cofactor_det([[row(base, r)[j] for j in rest]
+                                           for r in rows[1:]])
+                if a.terms and b.terms:
+                    (ea, ca), (eb, cb) = a.terms[0], b.terms[0]
+                    sums[ea + eb] = sums.get(ea + eb, 0) + (-1) ** k * ca * cb
+            return not sums or sums[min(sums)] != 0
+
+        top_size = {m for m in needed if len(m[1]) == largest}
+        unsettled = {m for m in top_size if not settled(*m)}
+        assert len(expanded) == len(set(expanded)) == len(
+            set(needed) - top_size | unsettled)
+        return needed, top_size, unsettled
+
+    def test_slab_expands_each_minor_once(self, monkeypatch):
+        needed, top_size, unsettled = self.expansions(
+            helpers.embedded_slab(), monkeypatch)
+        # the tetrahedra read their triangles' minors, and their own
+        # minors are settled by the lowest products
         assert len(set(needed)) < len(needed)
+        assert top_size and not unsettled
+
+    def test_torus_expands_unsettled_minors_once(self, monkeypatch):
+        _, top_size, unsettled = self.expansions(helpers.geometric_torus(),
+                                                 monkeypatch)
+        # some triangles' minors cancel in their lowest products
+        assert 0 < len(unsettled) < len(top_size)
 
 
 class TestSimplexRate:
