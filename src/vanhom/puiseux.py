@@ -22,7 +22,10 @@ IndeterminateAtPrecision instead of guessing.
 
 Parsing keys each term by its exponent as an integer pair in lowest
 terms and builds one Fraction per exponent and coefficient, at the end:
-a document's coordinates are parsed on every load.
+a document's coordinates are parsed on every load.  The parser, like
+truncate, establishes every invariant of a canonical series itself, so
+it builds its result without the re-checks of the PuiseuxSeries
+constructor, which keeps them for every other caller.
 """
 
 from __future__ import annotations
@@ -187,8 +190,9 @@ class PuiseuxSeries:
     def truncate(self, precision: ExtRational) -> "PuiseuxSeries":
         """Forget everything from T^precision on."""
         prec = min(self.precision, precision)
-        return PuiseuxSeries(tuple((e, c) for e, c in self.terms if e < prec),
-                             prec)
+        if prec is self.precision:  # every term is already below it
+            return _trusted(self.terms, prec)
+        return _trusted(tuple(t for t in self.terms if t[0] < prec), prec)
 
     # -- order -----------------------------------------------------------
 
@@ -213,6 +217,23 @@ class PuiseuxSeries:
 
     def __str__(self):
         return format_series(self)
+
+
+_new = object.__new__
+_set = object.__setattr__  # as a frozen dataclass's __init__ sets fields
+
+
+def _trusted(terms: Tuple[Term, ...],
+             precision: ExtRational) -> PuiseuxSeries:
+    """A series from terms already in canonical form below the precision.
+
+    Skips the checks of the constructor: for callers that have established
+    every invariant of their output themselves.
+    """
+    s = _new(PuiseuxSeries)
+    _set(s, "terms", terms)
+    _set(s, "precision", precision)
+    return s
 
 
 def series(pairs: Iterable[Tuple[Fraction, Fraction]],
@@ -390,8 +411,10 @@ def parse_series(text: str) -> PuiseuxSeries:
     # over one common denominator the exponents order as integers
     scale = lcm(*(d for _, d in terms))
     kept.sort(key=lambda term: term[0][0] * (scale // term[0][1]))
-    return PuiseuxSeries(tuple((Fraction(*e), Fraction(*c)) for e, c in kept),
-                         precision)
+    # canonical by construction: nonzero, distinct, ordered, below the
+    # truncation
+    return _trusted(tuple((Fraction(*e), Fraction(*c)) for e, c in kept),
+                    precision)
 
 
 def _format_exponent(exp: Fraction) -> str:

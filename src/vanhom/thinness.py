@@ -27,16 +27,23 @@ one L.
 
 Minors are memoised per document, keyed by base vertex.  One call of
 simplex_rates keeps, for each first vertex v0, the difference rows
-(v0, v) and the minors (v0, row vertices, columns), each Laplace-expanded
-once along its first row from the minors of the remaining rows; next to
-them, per row set, the least leading exponent and the least precision of
-a minor with no known term.  A simplex (v0, v1, ..., vk) so expands only
-its own size-k minors, and at each smaller size reads those aggregates
-off the row sets of its faces through v0.  The table lives for the call.
-A minor of the call's largest size is never kept, and its aggregates
-need only its leading term: it is read off the lowest product of each
-Laplace term, and the minor is expanded in full only when those
-products cancel below its precision.
+(v0, v) and, per row set (a tuple of row vertices), the least leading
+exponent and the least precision of a minor with no known term over its
+minors (v0, row vertices, columns).  A simplex (v0, v1, ..., vk) so
+works out only its own row set, and at each smaller size reads the
+aggregates of its faces' row sets through v0.  A minor is
+Laplace-expanded along its first row from the minors of the remaining
+rows, the row set's tail.  Which row sets are read as a tail is known
+before rating starts: the rating of a simplex reads every subset Q of
+its rows up to the ambient dimension, and a Q of three or more rows
+reads Q[1:].  Those row sets keep their minors, each expanded in full
+once.  Every other row set needs only its minors' leading terms: each
+is read off the lowest product of each Laplace term, and expanded in
+full only when those products cancel below its precision.  A row set of
+two rows reads its minors a_i*b_j - a_j*b_i off the two rows
+themselves.  Each integer series carries its least exponent (its
+precision when it has no term), found once when it is made.  The table
+lives for the call.
 
 The thinness filtration at velocity v puts into level j every cell of
 dimension below j together with the thin cells of dimension exactly j.
@@ -129,12 +136,16 @@ class GeometricComplex:
                     raise InvalidComplex(f"unknown vertex {vid} in {simplex}")
 
 
-# An integer series is ({exponent: coefficient}, precision): a
+# An integer series is ({exponent: coefficient}, precision, low): a
 # PuiseuxSeries with its exponents and precision multiplied by a common
-# denominator D and its coefficients by a common multiple L.  An infinite
-# precision stays INF, as in PuiseuxSeries.
+# denominator D and its coefficients by a common multiple L, and its least
+# exponent, or its precision when it has no term, found once when the
+# series is made.  An infinite precision stays INF, as in PuiseuxSeries.
 _IntPrecision = Union[int, _Infinity]
-_IntSeries = Tuple[Dict[int, int], _IntPrecision]
+_IntSeries = Tuple[Dict[int, int], _IntPrecision, _IntPrecision]
+# the Laplace products (a_k, b_k) of one minor, whose value is the sum of
+# (-1)^k a_k b_k
+_Products = Sequence[Tuple[_IntSeries, _IntSeries]]
 
 
 def _scales(entries: Iterable[PuiseuxSeries]) -> Tuple[int, int]:
@@ -154,57 +165,59 @@ def _integer_series(s: PuiseuxSeries, d: int, scale: int) -> _IntSeries:
     terms = {e.numerator * (d // e.denominator):
              c.numerator * (scale // c.denominator) for e, c in s.terms}
     p = s.precision
-    return terms, p if p is INF else p.numerator * (d // p.denominator)
+    p = p if p is INF else p.numerator * (d // p.denominator)
+    # the terms of a PuiseuxSeries ascend
+    return terms, p, next(iter(terms)) if terms else p
 
 
 def _canonical(acc: Dict[int, int], prec: _IntPrecision) -> _IntSeries:
     if prec is INF:  # spares a comparison with INF (a Python call) per term
-        return {e: c for e, c in acc.items() if c}, prec
-    return {e: c for e, c in acc.items() if c and e < prec}, prec
+        terms = {e: c for e, c in acc.items() if c}
+    else:
+        terms = {e: c for e, c in acc.items() if c and e < prec}
+    return terms, prec, min(terms) if terms else prec
 
 
 def _difference(a: _IntSeries, b: _IntSeries) -> _IntSeries:
-    (ta, pa), (tb, pb) = a, b
+    (ta, pa, _), (tb, pb, _) = a, b
     if not tb and pb is INF:  # b is exact zero; series are never mutated
         return a
     if a is b:  # one shared coordinate: every term cancels
-        return {}, pa
+        return {}, pa, pa
     acc = dict(ta)
     for e, c in tb.items():
         acc[e] = acc.get(e, 0) - c
-    return _canonical(acc, min(pa, pb))
+    # min(pa, pb) compares with INF through a Python call
+    return _canonical(acc, pb if pa is INF else pa if pb is INF
+                      else min(pa, pb))
 
 
-def _expand(top: Sequence[_IntSeries], cols: Tuple[int, ...],
-            below: Dict[Tuple[int, ...], _IntSeries]) -> _IntSeries:
-    """One minor by Laplace expansion along its first row.
+def _expand(products: _Products) -> _IntSeries:
+    """One minor in full, from its Laplace products along its first row.
 
-    top is that row of the matrix; below holds the minors of the remaining
-    rows one size smaller, by columns.  low is a leading exponent, or the
-    precision of a series without terms.  Terms at or past the precision
-    are dropped once, at the end: the sum's precision is at most that of
-    every product, so this drops what dropping after each step would.
+    a_k is the entry of the first row in the k-th column and b_k the
+    minor of the remaining rows without that column (for two rows, the
+    second row's entry in the other column).  Terms at or past the
+    precision are dropped once, at the end: the sum's precision is at most
+    that of every product, so this drops what dropping after each step
+    would.
     """
     acc: Dict[int, int] = {}
     prec: _IntPrecision = INF
-    for k, col in enumerate(cols):
-        ta, pa = top[col]
-        tb, pb = below[cols[:k] + cols[k + 1:]]
+    sign = 1
+    for (ta, pa, low_a), (tb, pb, low_b) in products:
         if pa is not INF or pb is not INF:  # else the product is exact
-            low_a = min(ta) if ta else pa
-            low_b = min(tb) if tb else pb
             prec = min(prec, pb + low_a, pa + low_b)
-        sign = -1 if k % 2 else 1
         for ea, ca in ta.items():
             ca *= sign
             for eb, cb in tb.items():
                 e = ea + eb
                 acc[e] = acc.get(e, 0) + ca * cb
+        sign = -sign
     return _canonical(acc, prec)
 
 
-def _leading_term(top: Sequence[_IntSeries], cols: Tuple[int, ...],
-                  below: Dict[Tuple[int, ...], _IntSeries]) -> _IntSeries:
+def _leading_term(products: _Products) -> _IntSeries:
     """One minor's leading term alone, or the minor in full.
 
     Takes what _expand takes.  A product of two series has exactly one
@@ -218,11 +231,8 @@ def _leading_term(top: Sequence[_IntSeries], cols: Tuple[int, ...],
     lead = None
     coeff = 0
     prec: _IntPrecision = INF
-    for k, col in enumerate(cols):
-        ta, pa = top[col]
-        tb, pb = below[cols[:k] + cols[k + 1:]]
-        low_a = min(ta) if ta else pa
-        low_b = min(tb) if tb else pb
+    sign = 1
+    for (ta, pa, low_a), (tb, pb, low_b) in products:
         if pa is not INF or pb is not INF:
             prec = min(prec, pb + low_a, pa + low_b)
         if ta and tb:
@@ -230,56 +240,90 @@ def _leading_term(top: Sequence[_IntSeries], cols: Tuple[int, ...],
             if lead is None or e < lead:
                 lead, coeff = e, 0
             if e == lead:
-                c = ta[low_a] * tb[low_b]
-                coeff += -c if k % 2 else c
+                coeff += sign * ta[low_a] * tb[low_b]
+        sign = -sign
     if lead is None or (prec is not INF and lead >= prec):
-        return {}, prec
+        return {}, prec, prec
     if coeff:
-        return {lead: coeff}, prec
-    return _expand(top, cols, below)
+        return {lead: coeff}, prec, lead
+    return _expand(products)
+
+
+def _laplace_terms(ncols: int, size: int) -> List[tuple]:
+    """Every column tuple of one minor size, with the Laplace terms of its
+    minor along the first row: (the column of a_k, the key of b_k among
+    the minors of the remaining rows).  Those minors are keyed by column
+    tuple, and for two rows they are the second row itself, keyed by
+    column."""
+    return [(cols, tuple((col, cols[1 - k] if size == 2
+                          else cols[:k] + cols[k + 1:])
+                         for k, col in enumerate(cols)))
+            for cols in itertools.combinations(range(ncols), size)]
 
 
 class _MinorTable:
     """The minors of the row sets drawn from one family of rows.
 
     rows maps a row key (a vertex, for one base vertex) to its integer
-    series, ncols entries each.  A row set, a tuple of keys, gets its
-    minors {columns: series}, expanded from those of its tail, and over
-    all of them the least leading exponent and the least precision of a
-    minor with no known term, once and on first use.  A row set of size
-    largest is no tail, so only its aggregates are kept, and each of its
-    minors is read off its leading term (_leading_term).  Filling the
-    table never raises: only valuations judges what it holds.
+    series, ncols entries each; reads lists the row sets valuations will
+    be asked for (one of fewer than three rows may be left out: it reads
+    no tail).  A row set, a tuple of keys, gets over all its minors the
+    least leading exponent and the least precision of a minor with no
+    known term, once and on first use.  Only a row set that valuations
+    reads as the tail of another, Q[1:] for some Q of three or more of
+    the rows of one read, also keeps its minors {columns: series}, each
+    expanded in full from those of its own tail (_expand).  Every other
+    row set reads each minor off its leading term (_leading_term).  A
+    row set of two rows reads its minors off the two rows themselves, and
+    one of one row is the row.  Filling the table never raises: only
+    valuations judges what it holds.
     """
 
     def __init__(self, rows: Dict[object, Sequence[_IntSeries]], ncols: int,
-                 largest: int):
+                 reads: Iterable[tuple], plans: Dict[int, List[tuple]]):
         self.rows = rows
         self.ncols = ncols
-        self.largest = largest
-        self._sets: Dict[tuple, Tuple[Optional[dict], _IntPrecision,
-                                      _IntPrecision]] = {}
+        # size -> _laplace_terms(ncols, size), filled on first use; tables
+        # with one ncols may share it
+        self.plans = plans
+        # valuations reads every subset Q of a read's rows, and a Q of
+        # three or more rows reads the minors of Q[1:]
+        self.expanded = {subset[1:] for keys in reads
+                         for size in range(3, min(len(keys), ncols) + 1)
+                         for subset in itertools.combinations(keys, size)}
+        # row set -> (its minors if kept, least leading exponent, least
+        # precision of a minor with no known term)
+        self._sets: Dict[tuple, Tuple[Optional[Union[Sequence, Dict]],
+                                      _IntPrecision, _IntPrecision]] = {}
 
     def _row_set(self, keys: tuple):
         entry = self._sets.get(keys)
         if entry is None:
             top = self.rows[keys[0]]
             if len(keys) == 1:
-                minors = {(j,): top[j] for j in range(self.ncols)}
+                found = minors = top
             else:
                 below = self._row_set(keys[1:])[0]
+                plan = self.plans.get(len(keys))
+                if plan is None:
+                    plan = self.plans[len(keys)] = _laplace_terms(
+                        self.ncols, len(keys))
+                kept = keys in self.expanded
                 # the aggregates of a minor need only its leading term
-                expand = (_expand if len(keys) < self.largest
-                          else _leading_term)
-                minors = {cols: expand(top, cols, below)
-                          for cols in itertools.combinations(
-                              range(self.ncols), len(keys))}
-            lows = [min(terms) for terms, _ in minors.values() if terms]
-            floors = [prec for terms, prec in minors.values()
-                      if not terms and prec is not INF]
-            entry = self._sets[keys] = (
-                minors if len(keys) < self.largest else None,
-                min(lows, default=INF), min(floors, default=INF))
+                expand = _expand if kept else _leading_term
+                found = [expand([(top[col], below[rest])
+                                 for col, rest in terms])
+                         for _, terms in plan]
+                minors = (dict(zip([cols for cols, _ in plan], found))
+                          if kept else None)
+            best = floor = INF
+            for terms, _, low in found:
+                if terms:
+                    if best is INF or low < best:
+                        best = low
+                elif low is not INF and (floor is INF or low < floor):
+                    floor = low
+            entry = self._sets[keys] = (minors, best, floor)
         return entry
 
     def valuations(self, keys: tuple) -> List[_IntPrecision]:
@@ -288,13 +332,15 @@ class _MinorTable:
         r = min(len(keys), self.ncols)
         out: List[_IntPrecision] = []
         prev = 0
+        known = self._sets.get
         for size in range(1, r + 1):
-            sets = [self._row_set(subset)
-                    for subset in itertools.combinations(keys, size)]
-            best = min([low for _, low, _ in sets if low is not INF],
-                       default=INF)
-            pending = min([floor for _, _, floor in sets
-                           if floor is not INF], default=INF)
+            best = pending = INF
+            for subset in itertools.combinations(keys, size):
+                _, low, floor = known(subset) or self._row_set(subset)
+                if low is not INF and (best is INF or low < best):
+                    best = low
+                if floor is not INF and (pending is INF or floor < pending):
+                    pending = floor
             # a minor with no known term may hide its leading term
             # anywhere from its precision on
             if pending is not INF and best >= pending:
@@ -318,8 +364,8 @@ def simplex_rates(g: GeometricComplex,
     one L for all of them (a series shared by several coordinates once),
     and the rows are formed in integers.  Each row
     (base, vertex) is formed once per call and each minor (base, row
-    vertices, columns) expanded once, in a table keyed by base vertex (see
-    the module docstring).  Equal rates share one Fraction.  Simplices are
+    vertices, columns) worked out at most once, in a table keyed by base
+    vertex (see the module docstring).  Equal rates share one Fraction.  Simplices are
     rated in the order given and the first failure is raised:
     IndeterminateAtPrecision, or DegenerateSimplex for affinely dependent
     vertices.
@@ -335,16 +381,22 @@ def simplex_rates(g: GeometricComplex,
     points = {vid: [converted[id(x)] for x in g.vertices[vid]]
               for vid in used}
     n = g.ambient_dim
-    largest = max(map(len, simplices), default=1) - 1
+    plans: Dict[int, List[tuple]] = {}
     tables: Dict[int, _MinorTable] = {}
     # a table goes once its base vertex has rated its last simplex
     last = {simplex[0]: i for i, simplex in enumerate(simplices)}
+    # only a row set of three or more rows reads another as its tail
+    reads: Dict[int, List[tuple]] = {}
+    for simplex in simplices:
+        if len(simplex) > 3:
+            reads.setdefault(simplex[0], []).append(simplex[1:])
     rates = []
     shared: Dict[int, Fraction] = {}  # integer rate -> rate
     for i, simplex in enumerate(simplices):
         table = tables.get(simplex[0])
         if table is None:
-            table = tables[simplex[0]] = _MinorTable({}, n, largest)
+            table = tables[simplex[0]] = _MinorTable(
+                {}, n, reads.get(simplex[0], ()), plans)
         base, rows = points[simplex[0]], table.rows
         for vid in simplex[1:]:
             if vid not in rows:

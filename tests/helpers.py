@@ -421,7 +421,8 @@ def invariant_factor_valuations(
     d, scale = _scales(x for row in matrix for x in row)
     rows = {i: [_integer_series(x, d, scale) for x in row]
             for i, row in enumerate(matrix)}
-    table = _MinorTable(rows, len(matrix[0]) if matrix else 0, len(rows))
+    ncols = len(matrix[0]) if matrix else 0
+    table = _MinorTable(rows, ncols, [tuple(rows)], {})
     return [nu if nu is INF else Fraction(nu, d)
             for nu in table.valuations(tuple(rows))]
 

@@ -236,4 +236,8 @@ def test_truncate_matches_canonicalizing_route(a, data):
     points = (st.one_of(st.sampled_from(on_terms), truncation_points)
               if on_terms else truncation_points)
     p = data.draw(points)
-    assert a.truncate(p) == series(a.terms, precision=min(a.precision, p))
+    cut = a.truncate(p)
+    assert cut == series(a.terms, precision=min(a.precision, p))
+    # truncate builds its series unchecked: the checking constructor must
+    # accept the same terms and precision
+    assert cut == PuiseuxSeries(cut.terms, cut.precision)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import (reference_fraction_parse_series,
                      reference_parse_series)
-from vanhom import INF, SeriesParseError, parse_series, series
+from vanhom import (INF, PuiseuxSeries, SeriesParseError, parse_series,
+                    series)
 
 F = Fraction
 
@@ -44,8 +45,12 @@ def outcome_or_message(parse, text):
 
 
 def assert_same(text):
-    assert (outcome(parse_series, text)
-            == outcome(reference_parse_series, text)), repr(text)
+    parsed = outcome(parse_series, text)
+    assert parsed == outcome(reference_parse_series, text), repr(text)
+    if parsed is not None:
+        # parse_series builds its series unchecked: the checking
+        # constructor must accept the same terms and precision
+        assert PuiseuxSeries(*parsed) == parse_series(text), repr(text)
     assert (outcome_or_message(parse_series, text)
             == outcome_or_message(reference_fraction_parse_series, text)), \
         repr(text)

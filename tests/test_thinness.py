@@ -244,9 +244,9 @@ class TestIntegerKernel:
         # products cancel (see thinness._leading_term)
         expand, fallbacks = thinness._expand, []
 
-        def spy(top, cols, below):
-            fallbacks.append(len(cols))
-            return expand(top, cols, below)
+        def spy(products):
+            fallbacks.append(len(products))
+            return expand(products)
 
         monkeypatch.setattr(thinness, "_expand", spy)
         rng = random.Random(2416)
@@ -306,7 +306,7 @@ class TestMinorTable:
 
     @staticmethod
     def geometry(rng):
-        """Random points in 1- to 4-space and simplices of dimension 1-3.
+        """Random points in 1- to 4-space and simplices of dimension 1-4.
 
         Coordinates come from TestIntegerKernel.entry, so exact zeros and
         truncated entries appear.  Some points lie on the line through two
@@ -329,7 +329,7 @@ class TestMinorTable:
                                     for _ in range(ambient))
         simplices = []
         for _ in range(rng.randint(1, 4)):
-            top = tuple(rng.sample(range(nv), rng.randint(2, min(4, nv))))
+            top = tuple(rng.sample(range(nv), rng.randint(2, min(5, nv))))
             if rng.random() < 0.6:
                 tail = top[1:]
                 simplices += [(top[0], *rest) for size in range(1, len(tail))
@@ -372,35 +372,62 @@ class TestMinorTable:
     def expansions(g, monkeypatch):
         """Rate g's simplices in one call, spying on _expand.
 
-        Asserts that no minor is expanded twice, that every minor below
-        the largest size is expanded once, and that a largest-size minor
-        is expanded only when the lowest products of its Laplace terms do
-        not settle its leading term, counted here in PuiseuxSeries.
-        Returns every minor needed, in order, with repeats, and the
-        largest-size minors with those of them that are not settled.
+        Asserts that no minor is expanded twice, that every minor of a
+        row set read as the tail of another is expanded, and that any
+        other minor is expanded only when the lowest products of its
+        Laplace terms do not settle its leading term, counted here in
+        PuiseuxSeries.  Returns every minor needed, in order, with
+        repeats, and the minors read off their leading terms with those
+        of them that are not settled.
         """
-        expanded = []
+        expanded, tables, computing = [], [], []
         expand = thinness._expand
+        init = thinness._MinorTable.__init__
+        row_set = thinness._MinorTable._row_set
+        # tables are made in the order their base vertices first appear
+        bases = list(dict.fromkeys(s[0] for s in g.simplices))
 
-        def spy(top, cols, below):
-            # top is the difference row of (base, first row vertex) and
-            # below the minors of (base, the other rows); the table holds
-            # both for the whole call, so their ids name the row set
-            expanded.append((id(top), id(below), cols))
-            return expand(top, cols, below)
+        def spy_init(self, *args):
+            init(self, *args)
+            tables.append(self)  # kept, so that no id is reused
 
+        def spy_row_set(self, keys):
+            computing.append((self, keys))
+            try:
+                return row_set(self, keys)
+            finally:
+                computing.pop()
+
+        def spy(products):
+            # the innermost row set in the making owns the minor, and
+            # a_k is its first row's entry in the minor's k-th column
+            table, keys = computing[-1]
+            top = table.rows[keys[0]]
+            cols = tuple(next(j for j, x in enumerate(top) if x is a)
+                         for a, _ in products)
+            expanded.append((bases[tables.index(table)], keys, cols))
+            return expand(products)
+
+        monkeypatch.setattr(thinness._MinorTable, "__init__", spy_init)
+        monkeypatch.setattr(thinness._MinorTable, "_row_set", spy_row_set)
         monkeypatch.setattr(thinness, "_expand", spy)
         simplex_rates(g, g.simplices)
         n = g.ambient_dim
-        needed = [(s[0], rows, cols) for s in g.simplices
-                  for size in range(2, len(s))
-                  for rows in itertools.combinations(s[1:], size)
-                  for cols in itertools.combinations(range(n), size)]
-        largest = max(map(len, g.simplices)) - 1
+        # valuations reads every row subset of each simplex up to size n
+        read = [(s[0], rows) for s in g.simplices
+                for size in range(2, min(len(s) - 1, n) + 1)
+                for rows in itertools.combinations(s[1:], size)]
+        tails = {(base, rows[1:]) for base, rows in read if len(rows) > 2}
+        needed = [(base, rows, cols) for base, rows in read
+                  for cols in itertools.combinations(range(n), len(rows))]
         # exact coordinates: a leading term is settled unless the lowest
         # products cancel
         assert all(x.precision is INF
                    for point in g.vertices.values() for x in point)
+        # cols were found by identity: every row entry is its own object
+        for table in tables:
+            assert all(len(set(map(id, row))) == n
+                       for row in table.rows.values())
 
         def row(base, vid):
             return [x - y for x, y in zip(g.vertices[vid], g.vertices[base])]
@@ -417,25 +444,25 @@ class TestMinorTable:
                     sums[ea + eb] = sums.get(ea + eb, 0) + (-1) ** k * ca * cb
             return not sums or sums[min(sums)] != 0
 
-        top_size = {m for m in needed if len(m[1]) == largest}
-        unsettled = {m for m in top_size if not settled(*m)}
-        assert len(expanded) == len(set(expanded)) == len(
-            set(needed) - top_size | unsettled)
-        return needed, top_size, unsettled
+        leading = {m for m in needed if m[:2] not in tails}
+        unsettled = {m for m in leading if not settled(*m)}
+        assert len(expanded) == len(set(expanded))
+        assert set(expanded) == set(needed) - leading | unsettled
+        return needed, leading, unsettled
 
-    def test_slab_expands_each_minor_once(self, monkeypatch):
-        needed, top_size, unsettled = self.expansions(
+    def test_slab_expands_each_tail_minor_once(self, monkeypatch):
+        needed, leading, unsettled = self.expansions(
             helpers.embedded_slab(), monkeypatch)
-        # the tetrahedra read their triangles' minors, and their own
-        # minors are settled by the lowest products
+        # the tetrahedra read their triangles' minors, and every other
+        # minor is settled by the lowest products
         assert len(set(needed)) < len(needed)
-        assert top_size and not unsettled
+        assert leading and not unsettled
 
     def test_torus_expands_unsettled_minors_once(self, monkeypatch):
-        _, top_size, unsettled = self.expansions(helpers.geometric_torus(),
-                                                 monkeypatch)
+        _, leading, unsettled = self.expansions(helpers.geometric_torus(),
+                                                monkeypatch)
         # some triangles' minors cancel in their lowest products
-        assert 0 < len(unsettled) < len(top_size)
+        assert 0 < len(unsettled) < len(leading)
 
 
 class TestSimplexRate:
@@ -643,3 +670,26 @@ class TestCoordinateChanges:
 
             _, moved = annotate_geometric(_transformed(g, scale))
             assert moved == {cid: rate + c for cid, rate in rates.items()}
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_triangular_polynomial_shear_keeps_every_rate(self, fixture):
+        # x_i += two rational quadratic monomials in x_1..x_(i-1): an
+        # invertible polynomial change of coordinates whose added terms
+        # cancel in the differences, so minors fall back to _expand
+        g = fixture()
+        _, rates = annotate_geometric(g)
+        rng = random.Random(6464)
+        n = g.ambient_dim
+        for _ in range(20):
+            shear = [[(F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)),
+                       rng.randrange(i), rng.randrange(i))
+                      for _ in range(2)] if i else []
+                     for i in range(n)]
+
+            def apply(point):
+                return tuple(x + sum((constant(c) * point[j] * point[k]
+                                      for c, j, k in monomials), series(()))
+                             for x, monomials in zip(point, shear))
+
+            _, moved = annotate_geometric(_transformed(g, apply))
+            assert moved == rates, shear
