@@ -78,6 +78,7 @@ class CellComplex:
         # the cells in id order, sorted on first use: loading and every
         # engine route walk them in that order several times
         self._sorted: Optional[List[Cell]] = None
+        self._dim: Optional[int] = None
 
     def __len__(self):
         return len(self._cells)
@@ -108,9 +109,9 @@ class CellComplex:
     @property
     def dim(self) -> int:
         """Top cell dimension; -1 for the empty complex."""
-        if not self._cells:
-            return -1
-        return max(c.dim for c in self._cells.values())
+        if self._dim is None:
+            self._dim = max((c.dim for c in self._cells.values()), default=-1)
+        return self._dim
 
     def f_vector(self) -> Tuple[int, ...]:
         counts = [0] * (self.dim + 1)

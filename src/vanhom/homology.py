@@ -36,6 +36,7 @@ Nothing here is a numerical estimate; there are two exact routes.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
@@ -200,12 +201,20 @@ def _boundary_columns(c: CellComplex, ids: Iterable[int],
     """Integer boundary columns of the given cells, face f at row key[f].
 
     Repeated faces are summed, so a CW boundary such as a + b - a + b
-    gives {key[b]: 2}; faces whose coefficients cancel are dropped.
+    gives {key[b]: 2}; faces whose coefficients cancel are dropped.  Each
+    column is first read off its faces as they stand, which is right
+    unless some cell repeats a face or has a zero coefficient.
     """
+    cell = c.cell
+    boundaries = [cell(cid).boundary for cid in ids]
+    out = [{key[face]: k for k, face in boundary} for boundary in boundaries]
+    if (sum(map(len, out)) == sum(map(len, boundaries))
+            and 0 not in itertools.chain.from_iterable(map(dict.values, out))):
+        return out
     out = []
-    for cid in ids:
+    for boundary in boundaries:
         col: IntColumn = {}
-        for k, face in c.cell(cid).boundary:
+        for k, face in boundary:
             row = key[face]
             col[row] = col.get(row, 0) + k
         out.append({row: k for row, k in col.items() if k})
@@ -289,13 +298,13 @@ def _integer_reduce(columns: Iterable[IntColumn], kernel: bool = False,
                 del col[low]
             else:
                 _subtract(col, b, pivot)
-            if combo is None:
-                content = gcd(*col.values())
-            else:
+            content = gcd(*col.values())
+            if combo is not None:
                 held = combos.get(low)  # None for a seeded pivot
                 if held:
                     _subtract(combo, b, held)
-                content = gcd(*col.values(), *combo.values())
+                if content != 1:  # the combination's entries only matter then
+                    content = gcd(content, *combo.values())
             if content > 1:
                 col = {key: v // content for key, v in col.items()}
                 if combo is not None:

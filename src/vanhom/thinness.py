@@ -39,7 +39,9 @@ its rows up to the ambient dimension, and a Q of three or more rows
 reads Q[1:].  Those row sets keep their minors, each expanded in full
 once.  Every other row set needs only its minors' leading terms: each
 is read off the lowest product of each Laplace term, and expanded in
-full only when those products cancel below its precision.  A row set of
+full only when those products cancel below its precision, unless their
+exponent lies above the least leading exponent of the row set's minors
+before it: such a minor lowers neither aggregate.  A row set of
 two rows reads its minors a_i*b_j - a_j*b_i off the two rows
 themselves.  Each integer series carries its least exponent (its
 precision when it has no term), found once when it is made.  The table
@@ -217,7 +219,8 @@ def _expand(products: _Products) -> _IntSeries:
     return _canonical(acc, prec)
 
 
-def _leading_term(products: _Products) -> _IntSeries:
+def _leading_term(products: _Products,
+                  above: _IntPrecision = INF) -> Optional[_IntSeries]:
     """One minor's leading term alone, or the minor in full.
 
     Takes what _expand takes.  A product of two series has exactly one
@@ -226,7 +229,9 @@ def _leading_term(products: _Products) -> _IntSeries:
     the products that reach it, with the sum of their coefficients.
     Unless that coefficient cancels below the precision, it settles the
     minor's leading term, or that the minor has no known term, without
-    expanding the rest; a cancellation falls back to _expand.
+    expanding the rest; a cancellation falls back to _expand.  Then the
+    minor's terms and precision lie above that least exponent, so when it
+    lies above ``above`` as well, None stands for the minor unexpanded.
     """
     lead = None
     coeff = 0
@@ -246,6 +251,8 @@ def _leading_term(products: _Products) -> _IntSeries:
         return {}, prec, prec
     if coeff:
         return {lead: coeff}, prec, lead
+    if above is not INF and lead > above:
+        return None
     return _expand(products)
 
 
@@ -308,14 +315,24 @@ class _MinorTable:
                 if plan is None:
                     plan = self.plans[len(keys)] = _laplace_terms(
                         self.ncols, len(keys))
-                kept = keys in self.expanded
-                # the aggregates of a minor need only its leading term
-                expand = _expand if kept else _leading_term
-                found = [expand([(top[col], below[rest])
-                                 for col, rest in terms])
-                         for _, terms in plan]
-                minors = (dict(zip([cols for cols, _ in plan], found))
-                          if kept else None)
+                products = ([(top[col], below[rest]) for col, rest in terms]
+                            for _, terms in plan)
+                if keys in self.expanded:
+                    found = list(map(_expand, products))
+                    minors = dict(zip([cols for cols, _ in plan], found))
+                else:
+                    # the aggregates of a minor need only its leading term,
+                    # and nothing of one whose terms and precision lie above
+                    # the least leading exponent so far: it can lower
+                    # neither, nor bring a precision to or below a leading
+                    # exponent of its size
+                    found, minors, least = [], None, INF
+                    for minor in products:
+                        minor = _leading_term(minor, least)
+                        if minor is not None:
+                            found.append(minor)
+                            if minor[0] and (least is INF or minor[2] < least):
+                                least = minor[2]
             best = floor = INF
             for terms, _, low in found:
                 if terms:

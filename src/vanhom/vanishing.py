@@ -24,19 +24,21 @@ complex), and Q = pi(P) its projection onto the cells outside S (the
 relative complex, with boundary pi o d).  The attached, absolute and
 relative groups are the homology of A, P and Q, and the long exact
 sequence connects them.  Excision drops a set W from the interior of S
-without changing the relative groups.  It runs on the integer kernel of
+without changing the relative groups, so :func:`excision_check` builds
+the relative complex alone.  It runs on the integer kernel of
 :mod:`vanhom.homology`: each complex's cycles are its boundaries B plus
-one representative per vanishing class R, every dimension is |R|, and
-each map of the long exact sequence reduces its images and the target's
-R against the echelon basis of the target's B, kept from the reduction
-that found B, which gives its rank and checks that its images are
-cycles; no basis is reduced twice.  Only the oracle side (the
-chain-subspace complexes and :func:`vanishing_betti_oracle`) uses
-:class:`Subspace`.
+one representative per vanishing class R, every dimension is |W| - |B|
+for the chains W that the reduction finding B reduces, and each map of
+the long exact sequence reduces its images and the target's R against
+the echelon basis of the target's B, kept from the reduction that found
+B, which gives its rank and checks that its images are cycles; no basis
+is reduced twice.  Only the oracle side (the chain-subspace complexes
+and :func:`vanishing_betti_oracle`) uses :class:`Subspace`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -324,19 +326,42 @@ def _class_rank(images: List[IntColumn], bounds: Dict[int, IntColumn],
     a chain space's echelon basis as bounds and no reps it checks that the
     images lie in that space, and with {} and no reps that every image is
     zero.  Each key that leads a single-entry chain of bounds is first
-    dropped from the images and reps: that subtracts a chain of B, which
-    over the rationals leaves every rank as it is, and costs no step.
+    dropped from the images and reps, and then each image equal to the
+    chain of bounds at its lowest key: either subtracts a chain of B,
+    which over the rationals leaves every rank as it is, and costs no
+    step.  The single-entry keys are read off bounds as it is passed.
     """
     units = {low for low, x in bounds.items() if len(x) == 1}
-    columns = images + reps
+    left = []
+    for x in images:
+        if units and not units.isdisjoint(x):
+            if units.issuperset(x):
+                continue
+            x = {k: v for k, v in x.items() if k not in units}
+        if x and bounds.get(min(x)) != x:
+            left.append(x)
     if units:
-        columns = [x if units.isdisjoint(x) else
-                   {k: v for k, v in x.items() if k not in units}
-                   for x in columns]
-    pivots, _ = _integer_reduce(columns, echelon=dict(bounds))
+        reps = [x if units.isdisjoint(x) else
+                {k: v for k, v in x.items() if k not in units} for x in reps]
+    pivots, _ = _integer_reduce(left + reps, echelon=dict(bounds))
     if len(pivots) != len(reps):
         raise AssertionError(failure)
-    return sum(index < len(images) for index in pivots)
+    return sum(index < len(left) for index in pivots)
+
+
+_COMPLEXES = ("absolute", "attached", "relative")
+
+
+def _image(columns: Dict[int, IntColumn], x: IntColumn,
+           below: Optional[int] = None) -> IntColumn:
+    """The chain sum of coeff * columns[k] over the entries of x, on the
+    rows below ``below`` when it is given."""
+    out: IntColumn = {}
+    for k, coeff in x.items():
+        for row, value in columns[k].items():
+            if below is None or row < below:
+                out[row] = out.get(row, 0) + coeff * value
+    return {row: value for row, value in out.items() if value}
 
 
 class _Pair:
@@ -367,80 +392,135 @@ class _Pair:
     combinations of W_j), and Z_j = B_j + R_j.  Every check and map
     reduces its images (and R) once against a basis held here
     (_class_rank); a failed check raises AssertionError naming the check,
-    the degree and the velocity.  Q_j shares each chain of P_j that has no
-    key in S, and only the cells outside S get a relative boundary column.
+    the degree and the velocity.
+
+    The set-up grades the cells once and builds the boundary columns of
+    the thin cells and, as the build adds them, of the thick cells in a
+    chain of P: no other column is read.  Q_j shares each chain of P_j
+    that has no key in S, and the image of a free unit chain is the
+    cell's column itself (projected for Q).  ``names`` picks the
+    complexes to build; the representatives, which only les() reads, are
+    kept when all three are built, and excision_check builds ("relative",)
+    alone, with its checks but without the absolute and attached cycles
+    and their checks.
     """
 
     def __init__(self, c: CellComplex, a: RateAnnotation, sub: CellSet,
-                 v: Velocity):
+                 v: Velocity, names: Sequence[str] = _COMPLEXES):
         sub = frozenset(sub)
         if not c.is_face_closed(sub):
             raise NotFaceClosed("subcomplex is not closed under faces")
         graded = _graded(c, a, v.contains_rate)
         self.velocity = v
+        self._at = str(v)
         self.cells = sorted(c.cell_ids() - sub) + sorted(sub)
         self.split = split = len(self.cells) - len(sub)
         key = {cid: k for k, cid in enumerate(self.cells)}
-        faces = _boundary_columns(c, self.cells, key)
-        d = max(c.dim, 0)
-        self.degrees = range(d + 1)
-        thin = [[key[cid] for level, cid in cells if level == 1]
+        self.degrees = range(len(graded))
+        # graded lists a degree's cells by (level, id), the thin ones last
+        thin = [[key[cid] for _, cid in cells[bisect_left(cells, (1,)):]]
                 for cells in graded] + [[]]
-        thick = set(range(len(self.cells))).difference(*thin)
+        units = set().union(*thin)
+        # the boundary columns the pair reads, by key: the thin cells',
+        # and after the build those of the thick cells in a chain of P
+        faces: Dict[int, IntColumn] = {}
+
+        def read_columns(keys):
+            keys = [k for k in keys if k not in faces]
+            faces.update(zip(keys, _boundary_columns(
+                c, [self.cells[k] for k in keys], key)))
+        read_columns(sorted(units))
+
         # each space C_j as an echelon basis {lowest key: chain}
-        chains = self.chains = {"absolute": {}, "attached": {},
-                                "relative": {}}
+        chains = self.chains = {name: {} for name in _COMPLEXES}
         for j in self.degrees:
             prime = chains["absolute"][j] = {k: {k: 1} for k in thin[j]}
-            _integer_reduce([{k: x for k, x in faces[t].items() if k in thick}
-                             for t in thin[j + 1]], echelon=prime)
-            chains["attached"][j] = {low: x for low, x in prime.items()
-                                     if low >= split}
-            # a chain with no key in S is its own projection
-            chains["relative"][j] = {
-                low: x if max(x) < split else self.project(x)
-                for low, x in prime.items() if low < split}
-        # the relative chains are keyed below split
-        relative_faces = [x if max(x, default=-1) < split else self.project(x)
-                          for x in faces[:split]]
+            # the thick parts of the thin (j+1)-cells' boundaries
+            pivots, _ = _integer_reduce(
+                [dict(x) if units.isdisjoint(x) else
+                 {k: coeff for k, coeff in x.items() if k not in units}
+                 for x in map(faces.__getitem__, thin[j + 1])
+                 if not units.issuperset(x)], echelon=prime)
+            if "attached" in names:
+                chains["attached"][j] = {low: x for low, x in prime.items()
+                                         if low >= split}
+            chains["relative"][j] = {low: self._relative(x)
+                                     for low, x in prime.items()
+                                     if low < split}
+            # the chains the build added hold thick keys only
+            read_columns(set().union(
+                *filter(None, map(prime.get, pivots.values()))))
 
         self.reps: Dict[str, Dict[int, List[IntColumn]]] = {}
         self.bounds: Dict[str, Dict[int, List[IntColumn]]] = {}
         self.leads: Dict[str, Dict[int, Dict[int, IntColumn]]] = {}
         self.dims: Dict[str, Dict[int, int]] = {}
-        for name, bd in (("absolute", faces), ("attached", faces),
-                         ("relative", relative_faces)):
-            spaces = chains[name]
-            reps, bounds, leads = {}, {d: []}, {d: {}}
-            for j in reversed(self.degrees):
-                free = [x for low, x in spaces[j].items()
-                        if low not in leads[j]]
-                images = _combine(bd, free)
-                leads[j - 1] = {}
-                independent, combos = _integer_reduce(
-                    images, kernel=True, echelon=leads[j - 1])
-                bounds[j - 1] = [images[i] for i in independent]
-                reps[j] = _combine(free, combos)
-            for j in self.degrees[1:]:
-                _class_rank(bounds[j - 1], spaces[j - 1], [], self._failure(
-                    f"{name} chains are not closed under the boundary", j))
-            self.reps[name], self.bounds[name] = reps, bounds
-            self.leads[name] = leads
-            self.dims[name] = {j: len(reps[j]) for j in self.degrees}
-        for j in self.degrees:
-            _class_rank(_combine(relative_faces, self.bounds["relative"][j]),
-                        {}, [], self._failure(
-                            "relative boundary is not a relative cycle", j))
+        # only les() reads the representatives
+        kernel = set(names) == set(_COMPLEXES)
+        for name in names:
+            self._cycles(name, faces, units, kernel)
+        if "relative" in names:
+            # the relative boundary of a chain outside S is pi o d
+            for j in self.degrees:
+                _class_rank([_image(faces, x, split)
+                             for x in self.bounds["relative"][j]],
+                            {}, [], self._failure(
+                                "relative boundary is not a relative cycle",
+                                j))
+
+    def _cycles(self, name: str, faces: Dict[int, IntColumn], units: set,
+                kernel: bool) -> None:
+        """Boundaries and representatives of one complex, top-down, then
+        its closure checks.  A free unit chain's image is its column,
+        shared by P and Q; A takes a copy, since les() reduces A's
+        boundaries next to P's."""
+        spaces = self.chains[name]
+        # the relative boundary keeps the rows outside S
+        below = self.split if name == "relative" else None
+        top = self.degrees[-1]
+        reps, bounds, leads = {}, {top: []}, {top: {}}
+        dims = self.dims[name] = {}
+        for j in reversed(self.degrees):
+            free, images = [], []
+            for low, x in spaces[j].items():
+                if low not in leads[j]:
+                    free.append(x)
+                    if low not in units:
+                        image = _image(faces, x, below)
+                    elif name == "attached":
+                        image = dict(faces[low])
+                    elif name == "relative":
+                        image = self._relative(faces[low])
+                    else:
+                        image = faces[low]
+                    images.append(image)
+            leads[j - 1] = {}
+            independent, combos = _integer_reduce(images, kernel=kernel,
+                                                  echelon=leads[j - 1])
+            bounds[j - 1] = [images[i] for i in independent]
+            reps[j] = _combine(free, combos)
+            dims[j] = len(free) - len(independent)
+        for j in self.degrees[1:]:
+            _class_rank(bounds[j - 1], spaces[j - 1], [],
+                        self._failure(f"{name} chains are not closed under "
+                                      f"the boundary", j))
+        self.bounds[name], self.leads[name] = bounds, leads
+        if kernel:
+            self.reps[name] = reps
 
     def project(self, x: IntColumn) -> IntColumn:
         return {k: coeff for k, coeff in x.items() if k < self.split}
+
+    def _relative(self, x: IntColumn) -> IntColumn:
+        """pi(x), sharing x when it has no key in S."""
+        return x if not x or max(x) < self.split else self.project(x)
 
     def cell_chain(self, x: IntColumn) -> IntColumn:
         """A keyed chain written on cell ids."""
         return {self.cells[k]: coeff for k, coeff in x.items()}
 
     def _failure(self, what: str, j: int) -> str:
-        return f"degree-{j} {what} at {self.velocity}"
+        return f"degree-{j} {what} at {self._at}"
 
     def les(self) -> List[LesNode]:
         """The long exact sequence's nodes, each checked for exactness.
@@ -460,15 +540,20 @@ class _Pair:
         quot after incl is zero; and an absolute cycle is its own lift and
         has no boundary, so conn after quot is zero.
         """
-        (ba, bp, _), (la, lp, lq), (ra, rp, rq) = (
+        ba = self.bounds["attached"]
+        (la, lp, lq), (ra, rp, rq) = (
             [table[name] for name in ("attached", "absolute", "relative")]
-            for table in (self.bounds, self.leads, self.reps))
+            for table in (self.leads, self.reps))
         incl, quot, conn = {}, {}, {}
         for j in self.degrees:
             incl[j] = _class_rank(ba[j] + ra[j], lp[j], rp[j], self._failure(
                 "attached cycle is not an absolute cycle", j))
+            # pi B(P_j) is B(Q_j), spanned by the projections of B(P_j)'s
+            # echelon chains led outside S, which are mostly B(Q_j)'s own
             quot[j] = _class_rank(
-                [self.project(x) for x in bp[j] + rp[j]], lq[j], rq[j],
+                [self.project(x) for low, x in lp[j].items()
+                 if low < self.split and lq[j].get(low) != x]
+                + [self.project(x) for x in rp[j]], lq[j], rq[j],
                 self._failure("absolute cycle is not a relative cycle", j))
             lifts = [x for low, x in lp[j - 1].items() if low >= self.split]
             conn[j] = _class_rank(
@@ -525,7 +610,11 @@ def les_check(c: CellComplex, a: RateAnnotation, sub: CellSet,
 
 @dataclass(frozen=True)
 class ExcisionReport:
-    """Relative dimensions before (full) and after (excised) a cut."""
+    """Relative dimensions before (full) and after (excised) a cut.
+
+    A removable cut leaves the relative complex as it is, so both come
+    from the one relative complex that excision_check builds.
+    """
 
     velocity: Velocity
     full: Dict[int, int]
@@ -548,7 +637,8 @@ def excision_check(c: CellComplex, a: RateAnnotation, sub: CellSet,
     so the excised pair is not built and equal holds: both pairs have the
     cells X-S outside their subcomplex, with the same boundaries once
     faces in S are dropped (no cell outside S has a face in the cut), and
-    _Pair keys them alike.
+    _Pair keys them alike.  Of the pair only the relative complex is
+    built, with its checks: its dimensions are all the report reads.
     """
     sub, cut = frozenset(sub), frozenset(cut)
     if not cut <= sub:
@@ -559,6 +649,6 @@ def excision_check(c: CellComplex, a: RateAnnotation, sub: CellSet,
         if any(face in cut for _, face in cell.boundary):
             raise InvalidExcision(
                 f"cell {cell.id} is outside the cut but has a face in it")
-    full = _Pair(c, a, sub, v).dims["relative"]
+    full = _Pair(c, a, sub, v, ("relative",)).dims["relative"]
     return ExcisionReport(velocity=v, full=full, excised=dict(full),
                           equal=True)

@@ -279,6 +279,64 @@ class TestExcisionIdentity:
         assert rep.full == rep.excised and rep.equal
 
 
+class TestRelativeOnlyExcise:
+    """excise reads only the relative dimensions, so its pair builds the
+    relative complex alone, with the relative checks."""
+
+    def test_builds_the_relative_complex_alone(self, monkeypatch):
+        # no absolute or attached cycle loop, and none of their checks
+        built, cycles = [], _Pair._cycles
+        ranks, class_rank = [], vanishing._class_rank
+
+        def spy(self, name, *args):
+            built.append(name)
+            return cycles(self, name, *args)
+
+        def rank(images, bounds, reps, failure):
+            ranks.append(failure)
+            return class_rank(images, bounds, reps, failure)
+        monkeypatch.setattr(_Pair, "_cycles", spy)
+        monkeypatch.setattr(vanishing, "_class_rank", rank)
+        c, rates, meridian, band, cut = helpers.torus_pair(4)
+        for q in (0, 2):
+            v = Velocity(F(q))
+            rep = excision_check(c, rates, band, cut, v)
+            assert built == ["relative"]
+            assert ranks and all(" relative " in text for text in ranks)
+            assert rep.full == rep.excised == relative_vanishing(
+                c, rates, band, v).relative
+            del built[:], ranks[:]
+
+    def test_dropped_relative_chain_trips_the_check(self, monkeypatch,
+                                                    capsys, tmp_path):
+        # the relative closure checks still run, so a relative chain
+        # dropped as TestClosureChecksCatchBookkeeping drops one makes
+        # vanhom excise exit 4 with the check's text
+        c, rates, meridian, band, cut = helpers.torus_pair(4)
+        pair = _Pair(c, rates, band, Velocity(F(2)))
+        j, low = min((j, low) for j in pair.degrees[:-1]
+                     for low in pair.leads["relative"][j])
+        failure = (f"degree-{j + 1} relative chains are not closed under "
+                   f"the boundary at T^2")
+        class_rank = vanishing._class_rank
+
+        def dropping(images, bounds, reps, what):
+            if what == failure:
+                del bounds[low]
+            return class_rank(images, bounds, reps, what)
+        monkeypatch.setattr(vanishing, "_class_rank", dropping)
+        path = tmp_path / "band.json"
+        path.write_text(dumps_document(document_dict(c, rates,
+                                                     {"band": band})),
+                        encoding="utf-8")
+        code = main(["excise", str(path), "--velocity", "T^2",
+                     "--subcomplex", "band",
+                     "--cut", ",".join(map(str, sorted(cut)))])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err == f"error: internal check failed: {failure}\n"
+
+
 def assert_matches_reference(c, rates, sub, v, cut=None):
     """The integer-rank pair layer reports what the subspace route does."""
     pair, les = helpers.reference_pair(c, rates, sub, v)
@@ -346,6 +404,17 @@ class TestReferenceEquivalence:
         sub = helpers.random_subcomplex(rng, c, bias=0.2)
         assert 0 < len(sub) < len(c.cell_ids())
         assert_matches_reference(c, rates, sub, Velocity(F(q)))
+
+
+class TestLargerReference:
+    def test_torus_pair_12_at_t2(self):
+        # 864 cells: the meridian, and the band with its removable cut
+        # through excision_check; a reference pair of this size takes
+        # seconds, and about three times as long at T^0
+        c, rates, meridian, band, cut = helpers.torus_pair(12)
+        v = Velocity(F(2))
+        assert_matches_reference(c, rates, meridian, v)
+        assert_matches_reference(c, rates, band, v, cut)
 
 
 class TestQuotientComplex:
