@@ -30,40 +30,21 @@ class InvalidComplex(ValueError):
     """Incidence data violating the complex laws."""
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Cell:
     """One cell: id, dimension, and signed codimension-one faces.
 
     boundary holds (coefficient, face id) pairs; vertices have none.  A
-    cell compares and hashes by its fields.  It is a slotted class rather
-    than a frozen dataclass, since a document builds one per entry and a
-    slotted cell costs a third as much to build: complexes share cells,
-    so treat one as immutable.
+    cell compares and hashes by its fields.  It is a slotted dataclass
+    but not a frozen one, since a document builds one per entry and a
+    frozen cell costs three times as much to build: complexes share
+    cells, so treat one as immutable.
     """
 
-    __slots__ = ("id", "dim", "boundary", "label")
-
-    def __init__(self, id: int, dim: int,
-                 boundary: Tuple[Tuple[int, int], ...] = (),
-                 label: Optional[str] = None):
-        self.id = id
-        self.dim = dim
-        self.boundary = boundary
-        self.label = label
-
-    def _fields(self):
-        return self.id, self.dim, self.boundary, self.label
-
-    def __eq__(self, other):
-        if type(other) is not Cell:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (f"Cell(id={self.id!r}, dim={self.dim!r}, "
-                f"boundary={self.boundary!r}, label={self.label!r})")
+    id: int
+    dim: int
+    boundary: Tuple[Tuple[int, int], ...] = ()
+    label: Optional[str] = None
 
 
 class CellComplex:

@@ -33,10 +33,10 @@ from fractions import Fraction
 
 from .cells import InvalidComplex, NotFaceClosed
 from .cells import build_circle, build_pinched_spheres, build_torus
-from .document import (ID_TEXT, DocumentError, _fraction, document_dict,
-                       document_problems, dumps_document, load_document)
-from .puiseux import (INF, IndeterminateAtPrecision, SeriesParseError,
-                      parse_velocity)
+from .document import (ID_TEXT, DocumentError, _format_rate, _fraction,
+                       document_dict, document_problems, dumps_document,
+                       load_document)
+from .puiseux import IndeterminateAtPrecision, SeriesParseError, parse_velocity
 from .thinness import DegenerateSimplex, MissingRate, rate_of
 from .vanishing import (InvalidExcision, VanishingBettiTable, excision_check,
                         les_check, relative_vanishing, sweep, vanishing_betti,
@@ -123,7 +123,7 @@ def _cmd_rates(args) -> int:
             continue
         rate = rate_of(c, doc.rates, cell.id)
         label = cell.label if cell.label is not None else "-"
-        print(f"{cell.id}\t{cell.dim}\t{'inf' if rate is INF else rate}\t{label}")
+        print(f"{cell.id}\t{cell.dim}\t{_format_rate(rate)}\t{label}")
     return 0
 
 

@@ -118,12 +118,6 @@ class Subspace:
     def contains(self, vec: Chain) -> bool:
         return not self._reduce(vec)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis())
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.basis() + other.basis())
-
     def intersection(self, other: "Subspace") -> "Subspace":
         mine = self.basis()
         return Subspace(_combine(mine, kernel_basis(mine + other.basis())))

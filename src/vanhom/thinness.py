@@ -25,27 +25,25 @@ min(prec_b + low_a, prec_a + low_b), and terms at or past the precision
 are dropped.  A document's vertices are converted once, with one D and
 one L.
 
-Minors are memoised per document, keyed by base vertex.  One call of
-simplex_rates keeps, for each first vertex v0, the difference rows
-(v0, v) and, per row set (a tuple of row vertices), the least leading
-exponent and the least precision of a minor with no known term over its
-minors (v0, row vertices, columns).  A simplex (v0, v1, ..., vk) so
-works out only its own row set, and at each smaller size reads the
-aggregates of its faces' row sets through v0.  A minor is
-Laplace-expanded along its first row from the minors of the remaining
-rows, the row set's tail.  Which row sets are read as a tail is known
-before rating starts: the rating of a simplex reads every subset Q of
-its rows up to the ambient dimension, and a Q of three or more rows
-reads Q[1:].  Those row sets keep their minors, each expanded in full
-once.  Every other row set needs only its minors' leading terms: each
-is read off the lowest product of each Laplace term, and expanded in
-full only when those products cancel below its precision, unless their
-exponent lies above the least leading exponent of the row set's minors
-before it: such a minor lowers neither aggregate.  A row set of
-two rows reads its minors a_i*b_j - a_j*b_i off the two rows
-themselves.  Each integer series carries its least exponent (its
-precision when it has no term), found once when it is made.  The table
-lives for the call.
+simplex_rates rates the simplices grouped by first vertex v0, with one
+minor table per group, which the next group's table replaces: one table
+is in use at a time.  The table keeps the difference rows (v0, v)
+and, per row set (a tuple of row vertices), the least leading exponent
+and the least precision of a minor with no known term over its minors
+(v0, row vertices, columns).  A simplex (v0, v1, ..., vk) so works out
+only its own row set, and at each smaller size reads the aggregates of
+its faces' row sets through v0.  A minor is Laplace-expanded along its
+first row from the minors of the remaining rows, the row set's tail.
+Which row sets are read as a tail is known before the group is rated:
+the rating of a simplex reads every subset Q of its rows up to the
+ambient dimension, and a Q of three or more rows reads Q[1:].  Those
+row sets keep their minors, each expanded in full once.  Every other
+row set needs only its minors' leading terms: each is read off the
+lowest product of each Laplace term, and expanded in full only when
+those products cancel below its precision.  A row set of two rows reads
+its minors a_i*b_j - a_j*b_i off the two rows themselves.  Each integer
+series carries its least exponent (its precision when it has no term),
+found once when it is made.
 
 The thinness filtration at velocity v puts into level j every cell of
 dimension below j together with the thin cells of dimension exactly j.
@@ -57,6 +55,7 @@ boundary matrix (see vanishing).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -219,8 +218,7 @@ def _expand(products: _Products) -> _IntSeries:
     return _canonical(acc, prec)
 
 
-def _leading_term(products: _Products,
-                  above: _IntPrecision = INF) -> Optional[_IntSeries]:
+def _leading_term(products: _Products) -> _IntSeries:
     """One minor's leading term alone, or the minor in full.
 
     Takes what _expand takes.  A product of two series has exactly one
@@ -229,9 +227,7 @@ def _leading_term(products: _Products,
     the products that reach it, with the sum of their coefficients.
     Unless that coefficient cancels below the precision, it settles the
     minor's leading term, or that the minor has no known term, without
-    expanding the rest; a cancellation falls back to _expand.  Then the
-    minor's terms and precision lie above that least exponent, so when it
-    lies above ``above`` as well, None stands for the minor unexpanded.
+    expanding the rest; a cancellation falls back to _expand.
     """
     lead = None
     coeff = 0
@@ -251,21 +247,20 @@ def _leading_term(products: _Products,
         return {}, prec, prec
     if coeff:
         return {lead: coeff}, prec, lead
-    if above is not INF and lead > above:
-        return None
     return _expand(products)
 
 
-def _laplace_terms(ncols: int, size: int) -> List[tuple]:
+@functools.lru_cache(maxsize=None)
+def _laplace_terms(ncols: int, size: int) -> Tuple[tuple, ...]:
     """Every column tuple of one minor size, with the Laplace terms of its
     minor along the first row: (the column of a_k, the key of b_k among
     the minors of the remaining rows).  Those minors are keyed by column
     tuple, and for two rows they are the second row itself, keyed by
     column."""
-    return [(cols, tuple((col, cols[1 - k] if size == 2
-                          else cols[:k] + cols[k + 1:])
-                         for k, col in enumerate(cols)))
-            for cols in itertools.combinations(range(ncols), size)]
+    return tuple((cols, tuple((col, cols[1 - k] if size == 2
+                               else cols[:k] + cols[k + 1:])
+                              for k, col in enumerate(cols)))
+                 for cols in itertools.combinations(range(ncols), size))
 
 
 class _MinorTable:
@@ -287,12 +282,9 @@ class _MinorTable:
     """
 
     def __init__(self, rows: Dict[object, Sequence[_IntSeries]], ncols: int,
-                 reads: Iterable[tuple], plans: Dict[int, List[tuple]]):
+                 reads: Iterable[tuple]):
         self.rows = rows
         self.ncols = ncols
-        # size -> _laplace_terms(ncols, size), filled on first use; tables
-        # with one ncols may share it
-        self.plans = plans
         # valuations reads every subset Q of a read's rows, and a Q of
         # three or more rows reads the minors of Q[1:]
         self.expanded = {subset[1:] for keys in reads
@@ -311,28 +303,15 @@ class _MinorTable:
                 found = minors = top
             else:
                 below = self._row_set(keys[1:])[0]
-                plan = self.plans.get(len(keys))
-                if plan is None:
-                    plan = self.plans[len(keys)] = _laplace_terms(
-                        self.ncols, len(keys))
+                plan = _laplace_terms(self.ncols, len(keys))
                 products = ([(top[col], below[rest]) for col, rest in terms]
                             for _, terms in plan)
                 if keys in self.expanded:
                     found = list(map(_expand, products))
                     minors = dict(zip([cols for cols, _ in plan], found))
                 else:
-                    # the aggregates of a minor need only its leading term,
-                    # and nothing of one whose terms and precision lie above
-                    # the least leading exponent so far: it can lower
-                    # neither, nor bring a precision to or below a leading
-                    # exponent of its size
-                    found, minors, least = [], None, INF
-                    for minor in products:
-                        minor = _leading_term(minor, least)
-                        if minor is not None:
-                            found.append(minor)
-                            if minor[0] and (least is INF or minor[2] < least):
-                                least = minor[2]
+                    # the aggregates of a minor need only its leading term
+                    found, minors = list(map(_leading_term, products)), None
             best = floor = INF
             for terms, _, low in found:
                 if terms:
@@ -379,13 +358,16 @@ def simplex_rates(g: GeometricComplex,
     Rows are the coordinate differences to the first vertex.  The vertices
     the simplices use are converted to integer series once, with one D and
     one L for all of them (a series shared by several coordinates once),
-    and the rows are formed in integers.  Each row
-    (base, vertex) is formed once per call and each minor (base, row
-    vertices, columns) worked out at most once, in a table keyed by base
-    vertex (see the module docstring).  Equal rates share one Fraction.  Simplices are
-    rated in the order given and the first failure is raised:
+    and the rows are formed in integers.  The simplices are rated grouped
+    by first vertex, in ascending order, each group in the order given,
+    with one minor table per group, which the next group's table replaces
+    (see the module docstring): each row (base, vertex) is formed once per
+    call and each minor (base, row vertices, columns) worked out at most
+    once.  Equal rates share one Fraction, and the rates come back in the
+    order given.  The failure raised is the first in the order given:
     IndeterminateAtPrecision, or DegenerateSimplex for affinely dependent
-    vertices.
+    vertices.  The least failing index found so far is kept, and no
+    simplex after it is rated.
     """
     simplices = [tuple(s) for s in simplices]
     used = sorted({vid for s in simplices for vid in s})
@@ -398,39 +380,41 @@ def simplex_rates(g: GeometricComplex,
     points = {vid: [converted[id(x)] for x in g.vertices[vid]]
               for vid in used}
     n = g.ambient_dim
-    plans: Dict[int, List[tuple]] = {}
-    tables: Dict[int, _MinorTable] = {}
-    # a table goes once its base vertex has rated its last simplex
-    last = {simplex[0]: i for i, simplex in enumerate(simplices)}
-    # only a row set of three or more rows reads another as its tail
-    reads: Dict[int, List[tuple]] = {}
-    for simplex in simplices:
-        if len(simplex) > 3:
-            reads.setdefault(simplex[0], []).append(simplex[1:])
-    rates = []
+    rates: List[Optional[Fraction]] = [None] * len(simplices)
     shared: Dict[int, Fraction] = {}  # integer rate -> rate
-    for i, simplex in enumerate(simplices):
-        table = tables.get(simplex[0])
-        if table is None:
-            table = tables[simplex[0]] = _MinorTable(
-                {}, n, reads.get(simplex[0], ()), plans)
-        base, rows = points[simplex[0]], table.rows
-        for vid in simplex[1:]:
-            if vid not in rows:
-                rows[vid] = [_difference(points[vid][k], base[k])
-                             for k in range(n)]
-        if len(simplex) - 1 > n:
-            raise DegenerateSimplex(
-                f"{simplex}: dimension exceeds the ambient space")
-        rate = table.valuations(simplex[1:])[-1]
-        if rate is INF:
-            raise DegenerateSimplex(
-                f"{simplex}: vertices are affinely dependent")
-        if rate not in shared:
-            shared[rate] = Fraction(rate, d)
-        rates.append(shared[rate])
-        if last[simplex[0]] == i:
-            del tables[simplex[0]]
+    # the index and exception of the first failure found so far
+    failed: Optional[Tuple[int, Exception]] = None
+    order = sorted(range(len(simplices)), key=lambda i: simplices[i][0])
+    for first, group in itertools.groupby(order, lambda i: simplices[i][0]):
+        group = list(group)
+        # only a row set of three or more rows reads another as its tail
+        table = _MinorTable({}, n, [simplices[i][1:] for i in group
+                                    if len(simplices[i]) > 3])
+        base, rows = points[first], table.rows
+        for i in group:
+            if failed is not None and i > failed[0]:
+                break
+            simplex = simplices[i]
+            for vid in simplex[1:]:
+                if vid not in rows:
+                    rows[vid] = [_difference(points[vid][k], base[k])
+                                 for k in range(n)]
+            try:
+                if len(simplex) - 1 > n:
+                    raise DegenerateSimplex(
+                        f"{simplex}: dimension exceeds the ambient space")
+                rate = table.valuations(simplex[1:])[-1]
+                if rate is INF:
+                    raise DegenerateSimplex(
+                        f"{simplex}: vertices are affinely dependent")
+            except (DegenerateSimplex, IndeterminateAtPrecision) as exc:
+                failed = i, exc
+                break
+            if rate not in shared:
+                shared[rate] = Fraction(rate, d)
+            rates[i] = shared[rate]
+    if failed is not None:
+        raise failed[1]
     return rates
 
 

@@ -422,7 +422,7 @@ def invariant_factor_valuations(
     rows = {i: [_integer_series(x, d, scale) for x in row]
             for i, row in enumerate(matrix)}
     ncols = len(matrix[0]) if matrix else 0
-    table = _MinorTable(rows, ncols, [tuple(rows)], {})
+    table = _MinorTable(rows, ncols, [tuple(rows)])
     return [nu if nu is INF else Fraction(nu, d)
             for nu in table.valuations(tuple(rows))]
 
@@ -430,6 +430,15 @@ def invariant_factor_valuations(
 def restrict_chain(chain: Chain, keep: CellSet) -> Chain:
     """Project a chain onto the coordinates of a cell set."""
     return {cid: coeff for cid, coeff in chain.items() if cid in keep}
+
+
+def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
+    return Subspace(u.basis() + w.basis())
+
+
+def contains_subspace(u: Subspace, w: Subspace) -> bool:
+    """Whether w lies in u."""
+    return all(u.contains(x) for x in w.basis())
 
 
 def _ids_of_dim(c: CellComplex, s: CellSet, j: int) -> List[int]:
@@ -658,8 +667,8 @@ class _RefPairChains:
             target = self.attached.get(j - 1, Subspace())
             self.zrel[j] = self.prime[j].map_preimage(
                 lambda x: chain_boundary(c, x), target)
-            self.rel_bounds[j] = (Subspace(self.bnd_thin[j + 1])
-                                  + self.attached[j])
+            self.rel_bounds[j] = subspace_sum(
+                Subspace(self.bnd_thin[j + 1]), self.attached[j])
 
     def relative_dims(self):
         out = {}

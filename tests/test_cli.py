@@ -607,13 +607,25 @@ class TestInternalChecks:
     def test_failed_pair_check_exits_4(self, pinched_doc, capsys,
                                        monkeypatch, check):
         failure = f"degree-1 {check} at T^2"
-        class_rank = vanishing._class_rank
+        class_rank, cycles = vanishing._class_rank, vanishing._Pair._cycles
 
-        def broken(images, bounds, cycles, message):
+        def broken(images, bounds, reps, message):
             if message == failure:
                 raise AssertionError(message)
-            return class_rank(images, bounds, cycles, message)
-        monkeypatch.setattr(vanishing, "_class_rank", broken)
+            return class_rank(images, bounds, reps, message)
+
+        def spoiled(self, name, faces, *args):
+            # a degree-1 relative boundary replaced by a unit chain whose
+            # relative boundary is not zero
+            cycles(self, name, faces, *args)
+            if name == "relative":
+                bounds = self.bounds[name][1]
+                bounds[0] = {next(k for x in bounds for k in x
+                                  if self.project(faces[k])): 1}
+        if check == "relative boundary is not a relative cycle":
+            monkeypatch.setattr(vanishing._Pair, "_cycles", spoiled)
+        else:
+            monkeypatch.setattr(vanishing, "_class_rank", broken)
         code, out, err = run(capsys, "relative", pinched_doc, "--velocity",
                              "T^2", "--subcomplex", "circle")
         assert (code, out) == (4, "")

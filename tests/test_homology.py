@@ -286,7 +286,7 @@ class TestSubspace:
     def test_sum_and_intersection_dims(self):
         u = self.vspace({0: F(1)}, {1: F(1)})
         w = self.vspace({1: F(1)}, {2: F(1)})
-        both = u + w
+        both = helpers.subspace_sum(u, w)
         meet = u.intersection(w)
         assert both.dim == 3
         assert meet.dim == 1
@@ -299,15 +299,15 @@ class TestSubspace:
                 {rng.randint(0, 4): F(rng.randint(-2, 2)) or F(1)}
                 for _ in range(rng.randint(0, 4))])
             u, w = mk(), mk()
-            assert ((u + w).dim + u.intersection(w).dim
+            assert (helpers.subspace_sum(u, w).dim + u.intersection(w).dim
                     == u.dim + w.dim)
 
     def test_intersection_contained_in_both(self):
         u = self.vspace({0: F(1), 1: F(1)}, {2: F(1)})
         w = self.vspace({0: F(1), 1: F(1), 2: F(3)})
         meet = u.intersection(w)
-        assert u.contains_subspace(meet)
-        assert w.contains_subspace(meet)
+        assert helpers.contains_subspace(u, meet)
+        assert helpers.contains_subspace(w, meet)
 
     def test_map_kernel(self):
         u = self.vspace({0: F(1)}, {1: F(1)})
@@ -416,7 +416,7 @@ class TestSpaces:
             for j in range(c.dim + 1):
                 z = cycle_space(c, full(c), j)
                 b = boundary_space(c, full(c), j)
-                assert z.contains_subspace(b)
+                assert helpers.contains_subspace(z, b)
                 assert z.dim - b.dim == betti(c, full(c), j)
 
     def test_deterministic(self):
@@ -441,5 +441,5 @@ def test_unit_chain_span(raw):
     space = Subspace(vecs)
     support = sorted({k for vec in vecs for k in vec})
     ambient = Subspace(unit_chains(support))
-    assert ambient.contains_subspace(space)
+    assert helpers.contains_subspace(ambient, space)
     assert space.dim <= len(support)

@@ -523,12 +523,12 @@ class TestEliminationWork:
             return reduce(columns, *args, **kwargs)
         monkeypatch.setattr(vanishing, "_integer_reduce", once)
         c, rates, meridian, band, cut = helpers.torus_pair(6)
-        for q in (0, 2):
+        for q in (0, 1, 2):
             assert relative_vanishing(c, rates, meridian,
                                       Velocity(F(q))).exact
         assert les_check(*pinched_pair()).exact
         assert excision_check(c, rates, band, cut, Velocity(F(2))).equal
-        assert len(calls) > 100
+        assert len(calls) > 100, len(calls)
 
     @pytest.mark.parametrize("case", ["meridian T^0", "meridian T^2",
                                       "pinched", "band"])

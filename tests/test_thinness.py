@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -299,8 +300,8 @@ class TestIntegerKernel:
 
 
 class TestMinorTable:
-    """simplex_rates keeps one minor table per call; each simplex alone
-    must come out the same."""
+    """simplex_rates keeps one minor table per first vertex, one at a time;
+    each simplex alone must come out the same."""
 
     CAPS = (None, F(1, 2), F(1), F(2), F(4))
 
@@ -376,18 +377,16 @@ class TestMinorTable:
         row set read as the tail of another is expanded, and that any
         other minor is expanded only when the lowest products of its
         Laplace terms do not settle its leading term, counted here in
-        PuiseuxSeries, unless their exponent lies above the least leading
-        exponent of the minors before it in its row set.  Returns every
-        minor needed, in order, with repeats, the minors read off their
-        leading terms, those of them that are not settled, and those
-        left unexpanded for lying above.
+        PuiseuxSeries.  Returns every minor needed, in order, with
+        repeats, and the minors read off their leading terms with those
+        of them that are not settled.
         """
         expanded, tables, computing = [], [], []
         expand = thinness._expand
         init = thinness._MinorTable.__init__
         row_set = thinness._MinorTable._row_set
-        # tables are made in the order their base vertices first appear
-        bases = list(dict.fromkeys(s[0] for s in g.simplices))
+        # one table per first vertex, in ascending order
+        bases = sorted({s[0] for s in g.simplices})
 
         def spy_init(self, *args):
             init(self, *args)
@@ -434,7 +433,7 @@ class TestMinorTable:
         def row(base, vid):
             return [x - y for x, y in zip(g.vertices[vid], g.vertices[base])]
 
-        def lowest(base, rows, cols):
+        def settled(base, rows, cols):
             # the lowest products' exponents, with summed coefficients
             sums = {}
             for k, col in enumerate(cols):
@@ -445,35 +444,16 @@ class TestMinorTable:
                 if a.terms and b.terms:
                     (ea, ca), (eb, cb) = a.terms[0], b.terms[0]
                     sums[ea + eb] = sums.get(ea + eb, 0) + (-1) ** k * ca * cb
-            return sums
-
-        def settled(base, rows, cols):
-            sums = lowest(base, rows, cols)
             return not sums or sums[min(sums)] != 0
 
         leading = {m for m in needed if m[:2] not in tails}
         unsettled = {m for m in leading if not settled(*m)}
-        # a row set's minors come in column order; an unsettled one whose
-        # lowest products lie above the least leading exponent before it
-        # can move no aggregate, and is not expanded
-        skipped, least = set(), {}
-        for base, rows, cols in dict.fromkeys(m for m in needed
-                                              if m in leading):
-            before = least.get((base, rows))
-            if ((base, rows, cols) in unsettled and before is not None
-                    and min(lowest(base, rows, cols)) > before):
-                skipped.add((base, rows, cols))
-            minor = helpers._cofactor_det([[row(base, r)[j] for j in cols]
-                                           for r in rows])
-            if minor.terms and (before is None
-                                or minor.terms[0][0] < before):
-                least[base, rows] = minor.terms[0][0]
         assert len(expanded) == len(set(expanded))
-        assert set(expanded) == set(needed) - leading | unsettled - skipped
-        return needed, leading, unsettled, skipped
+        assert set(expanded) == set(needed) - leading | unsettled
+        return needed, leading, unsettled
 
     def test_slab_expands_each_tail_minor_once(self, monkeypatch):
-        needed, leading, unsettled, _ = self.expansions(
+        needed, leading, unsettled = self.expansions(
             helpers.embedded_slab(), monkeypatch)
         # the tetrahedra read their triangles' minors, and every other
         # minor is settled by the lowest products
@@ -481,12 +461,38 @@ class TestMinorTable:
         assert leading and not unsettled
 
     def test_torus_expands_unsettled_minors_once(self, monkeypatch):
-        _, leading, unsettled, skipped = self.expansions(
-            helpers.geometric_torus(), monkeypatch)
-        # some triangles' minors cancel in their lowest products, and some
-        # of those lie above a leading exponent read before them
+        _, leading, unsettled = self.expansions(helpers.geometric_torus(),
+                                                monkeypatch)
+        # some triangles' minors cancel in their lowest products
         assert 0 < len(unsettled) < len(leading)
-        assert 0 < len(skipped) < len(unsettled)
+
+    @pytest.mark.parametrize("build", [helpers.geometric_torus,
+                                       helpers.embedded_slab])
+    def test_one_table_per_first_vertex_alive_at_a_time(self, monkeypatch,
+                                                        build):
+        # the simplices are rated grouped by first vertex, and a group's
+        # table is dropped before the next group rates a simplex.  They
+        # come in annotate_geometric's order, every edge before any
+        # triangle, so a first vertex recurs after others
+        tables, alive = [], []
+        init = thinness._MinorTable.__init__
+        valuations = thinness._MinorTable.valuations
+
+        def spy_init(self, *args):
+            init(self, *args)
+            tables.append(weakref.ref(self))
+
+        def spy_valuations(self, keys):
+            alive.append(sum(ref() is not None for ref in tables))
+            return valuations(self, keys)
+
+        monkeypatch.setattr(thinness._MinorTable, "__init__", spy_init)
+        monkeypatch.setattr(thinness._MinorTable, "valuations",
+                            spy_valuations)
+        g = build()
+        annotate_geometric(g)
+        assert len(tables) == len({s[0] for s in g.simplices})
+        assert len(alive) == len(g.simplices) and max(alive) == 1
 
 
 class TestSimplexRate:
